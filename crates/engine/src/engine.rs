@@ -19,8 +19,10 @@
 //!
 //! # Failure containment
 //!
-//! A panicking job is caught (`catch_unwind`) inside its worker,
-//! retried up to [`EngineConfig::max_retries`] times, and — if it
+//! Each worker runs its cells through the containment core it shares
+//! with [`Engine::run_stream`] (`crate::worker`): a watchdog heartbeat
+//! per cell, then the cell under `catch_unwind`. A panicking job is
+//! retried up to [`EngineConfig::max_retries`] times and — if it
 //! never succeeds — reported as a [`JobFailure`] in its result slot.
 //! One bad cell therefore costs one cell, not the batch: every other
 //! cell completes, is cached and journaled as usual, and the journal
@@ -30,10 +32,10 @@
 //! reported failed rather than aborting the process.
 //!
 //! All of this is testable on demand: an [`EngineConfig::faults`] plan
-//! injects seeded cache corruption, torn journal writes and worker
-//! panics at content-addressed decision points (see [`crate::fault`]),
-//! and the chaos suite asserts the engine's output is bit-identical to
-//! a fault-free run.
+//! injects seeded cache corruption, torn journal writes, worker panics
+//! and worker stalls at content-addressed decision points (see
+//! [`crate::fault`]), and the chaos suite asserts the engine's output
+//! is bit-identical to a fault-free run.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -47,6 +49,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::job::{JobResult, JobSpec};
 use crate::journal::Journal;
 use crate::key::ContentKey;
+use crate::worker::Containment;
 
 /// How a batch should be executed.
 #[derive(Debug, Clone)]
@@ -324,10 +327,6 @@ impl Engine {
             "engine_jobs_failed_total",
             "Jobs that exhausted their retry budget.",
         );
-        let m_retries = obs::registry::counter(
-            "engine_job_retries_total",
-            "Job attempts retried after a panic.",
-        );
         m_cells.add(specs.len() as u64);
         let root = self.state_root();
         let faults = FaultInjector::new(self.config.faults);
@@ -409,7 +408,6 @@ impl Engine {
 
         // Layer 3: simulate the rest on the worker pool.
         let workers = self.worker_count().min(pending.len());
-        let max_retries = self.config.max_retries;
         let mut worker_totals = WorkerMetrics::new();
         let mut worker_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
         if !pending.is_empty() {
@@ -423,6 +421,7 @@ impl Engine {
             // the drainer's disk writes fall behind.
             let (tx, rx) = channel::bounded::<(usize, u32, Result<JobResult, String>)>(workers * 4);
             let progress = self.config.progress;
+            let core = Containment::new(&faults, self.config.max_retries, 0);
             let scope_outcome = crossbeam::thread::scope(|s| {
                 // Dedicated drainer: the only thread touching disk or
                 // slots, running concurrently with every worker so
@@ -493,74 +492,28 @@ impl Engine {
                 };
 
                 let mut handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
+                for w in 0..workers {
                     let tx = tx.clone();
                     let queue = &queue;
-                    let faults = &faults;
+                    let core = &core;
                     // Each worker owns its metrics and span buffer and
                     // hands them back through the join handle — no
                     // shared mutation, so the aggregate is independent
                     // of scheduling.
                     handles.push(s.spawn(move |_| {
+                        let heartbeat = obs::watchdog::register(w);
                         let mut wm = WorkerMetrics::new();
                         loop {
                             match queue.steal() {
                                 Steal::Success((i, spec)) => {
-                                    let _job_span = obs::span::enter("job");
-                                    let job_started = Instant::now();
-                                    let key = spec.key();
-                                    let mut attempt = 0u32;
-                                    let outcome = loop {
-                                        attempt += 1;
-                                        obs::debug!(
-                                            "engine: job_start key={key} attempt={attempt}"
-                                        );
-                                        let run = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                if faults.worker_panic(key, attempt) {
-                                                    panic!(
-                                                        "injected fault: worker panic \
-                                                         (job {key}, attempt {attempt})"
-                                                    );
-                                                }
-                                                spec.execute()
-                                            }),
-                                        );
-                                        match run {
-                                            Ok(r) => break Ok(r),
-                                            Err(payload) if attempt > max_retries => {
-                                                break Err(panic_message(payload.as_ref()))
-                                            }
-                                            Err(_) => {
-                                                wm.inc("retries");
-                                                m_retries.inc();
-                                                obs::debug!(
-                                                    "engine: job_retry key={key} \
-                                                     attempt={attempt}"
-                                                );
-                                            }
-                                        }
-                                    };
-                                    match &outcome {
-                                        Ok(r) => {
-                                            wm.inc("jobs_executed");
-                                            wm.add("sim_us", spec.duration.as_micros());
-                                            wm.observe("utilization", r.mean_utilization);
-                                            obs::debug!(
-                                                "engine: job_done key={key} attempts={attempt}"
-                                            );
-                                        }
-                                        Err(_) => {
-                                            obs::debug!(
-                                                "engine: job_fail key={key} attempts={attempt}"
-                                            );
-                                        }
-                                    }
-                                    wm.observe_log(
-                                        "job_latency_us",
-                                        job_started.elapsed().as_secs_f64() * 1e6,
+                                    let job = core.run(&spec, &heartbeat, &mut wm);
+                                    let (key, attempts) = (job.key, job.attempts);
+                                    let outcome = job.outcome.map(|(result, _)| result);
+                                    let status = if outcome.is_ok() { "done" } else { "fail" };
+                                    obs::debug!(
+                                        "engine: job_{status} key={key} attempts={attempts}"
                                     );
-                                    if tx.send((i, attempt, outcome)).is_err() {
+                                    if tx.send((i, attempts, outcome)).is_err() {
                                         break;
                                     }
                                 }
@@ -568,6 +521,7 @@ impl Engine {
                                 Steal::Retry => continue,
                             }
                         }
+                        heartbeat.idle();
                         (wm, obs::span::drain())
                     }));
                 }
@@ -1058,6 +1012,44 @@ mod tests {
             chaotic.metrics.retries,
             2 * specs.len() as u64,
             "two injected panics per cell = two retries per cell"
+        );
+    }
+
+    #[test]
+    fn watchdog_flags_a_stalled_batch_cell() {
+        let _serial = crate::worker::watchdog_test_serial();
+        let specs: Vec<JobSpec> = grid().into_iter().take(2).collect();
+        obs::watchdog::set_active(true);
+        let (out, stalls) = std::thread::scope(|s| {
+            let run = s.spawn(|| {
+                Engine::new(EngineConfig {
+                    faults: Some(FaultPlan {
+                        stall: 1.0,
+                        stall_ms: 400,
+                        ..FaultPlan::default()
+                    }),
+                    ..EngineConfig::hermetic()
+                })
+                .run_batch("t", &specs)
+            });
+            // Patrol with a 50 ms threshold while the 400 ms stalls run.
+            let mut stalls = Vec::new();
+            for _ in 0..200 {
+                stalls.extend(obs::watchdog::patrol(50));
+                if run.is_finished() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            (run.join().expect("batch finishes"), stalls)
+        });
+        obs::watchdog::set_active(false);
+        assert_eq!(out.stats.executed, 2, "stalls delay, never fail");
+        assert_eq!(out.faults.stalls, 2);
+        let keys: Vec<String> = specs.iter().map(|s| s.key().to_string()).collect();
+        assert!(
+            stalls.iter().any(|st| keys.contains(&st.job)),
+            "watchdog must flag the stalled batch worker live, naming its cell: {stalls:?}"
         );
     }
 

@@ -34,6 +34,7 @@ pub mod job;
 pub mod journal;
 pub mod key;
 pub mod stream;
+mod worker;
 
 pub use cache::{CacheProbe, ResultCache};
 pub use engine::{BatchOutcome, BatchStats, Engine, EngineConfig, JobFailure};

@@ -1,13 +1,15 @@
-//! Streaming execution: unbounded job sequences at bounded memory.
+//! Streaming execution: unbounded device populations at bounded memory.
 //!
 //! [`Engine::run_batch`] materializes its results — one slot per spec —
 //! which is right for grids of hundreds of cells and fatal for
 //! populations of millions of devices. [`Engine::run_stream`] is the
-//! other regime: specs arrive from a lazy iterator, flow through the
-//! worker pool over *bounded* channels, and results are folded into a
-//! per-worker accumulator the moment they exist, then discarded. Peak
-//! memory is `O(workers × channel capacity + accumulator size)` —
-//! independent of how many devices stream through.
+//! other regime: a device is a pure function of its index, so each
+//! worker claims the next index from a shared atomic counter, builds
+//! that device's spec itself, and folds the result into its own
+//! accumulator the moment it exists. Nothing crosses between threads
+//! per device but one `fetch_add`; the shards merge when the workers
+//! join. Peak memory is `O(workers × accumulator size)` — independent
+//! of how many devices stream through.
 //!
 //! # Determinism contract
 //!
@@ -18,7 +20,8 @@
 //! commutative-merge structure like [`sim_core::FleetSummary`], whose
 //! integer-exact sketches make any partition merge to byte-identical
 //! state. Under that contract the outcome is bit-identical at any
-//! `--jobs`, which the fleet suite verifies byte-for-byte.
+//! `--jobs`, which the fleet suite verifies byte-for-byte. The retained
+//! failure sample is deterministic too: the lowest-indexed failures.
 //!
 //! # What streaming deliberately skips
 //!
@@ -27,34 +30,34 @@
 //! population runs are cheap to re-run *because* they never touch disk.
 //! This also makes stream output trivially identical across cache
 //! hit/miss state — there is no cache to hit. Failure containment is
-//! kept: per-job catch-unwind, seeded fault injection and retries all
-//! work exactly as in batch mode, with failed devices counted (and a
-//! bounded sample of reports retained) rather than accumulated.
+//! kept: every device runs through the same containment core as a
+//! batch cell (heartbeat, injected stalls and panics, `catch_unwind`,
+//! retries), with failed devices counted (and a bounded sample of
+//! reports retained) rather than accumulated.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use kernel_sim::WindowSample;
 use obs::{RunMetrics, WorkerMetrics};
 
 use crate::engine::{panic_message, Engine, JobFailure};
 use crate::fault::{FaultInjector, FaultStats};
 use crate::job::{JobResult, JobSpec};
-
-/// In-flight specs per worker the producer may run ahead by. Small
-/// enough that memory stays flat, large enough that workers never
-/// starve while the producer builds the next spec.
-const SPECS_AHEAD_PER_WORKER: usize = 8;
+use crate::worker::Containment;
 
 /// Failure reports retained verbatim; anything beyond is counted in
 /// [`StreamStats::failed`] but not stored (a fully-failing million-
 /// device run must not build a million-entry failure list).
 const MAX_RETAINED_FAILURES: usize = 32;
 
+/// Minimum wall-clock gap between progress lines.
+const REPORT_EVERY: Duration = Duration::from_millis(500);
+
 /// What a streaming run processed and what it cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Devices the generator produced.
+    /// Devices requested.
     pub total: u64,
     /// Devices simulated to completion.
     pub executed: u64,
@@ -63,7 +66,8 @@ pub struct StreamStats {
     /// Worker threads used.
     pub workers: usize,
     /// Worker threads that died outside the catch-unwind fence (engine
-    /// bugs; their in-flight device and local accumulator are lost).
+    /// bugs; their in-flight device, local accumulator and counts are
+    /// lost).
     pub dead_workers: usize,
     /// Wall-clock time for the whole stream, µs.
     pub elapsed_us: u64,
@@ -86,8 +90,9 @@ pub struct StreamOutcome<A> {
     pub acc: A,
     /// Counts and throughput.
     pub stats: StreamStats,
-    /// Up to [`MAX_RETAINED_FAILURES`] failure reports, in arrival
-    /// order; `stats.failed` is the true count.
+    /// The up to [`MAX_RETAINED_FAILURES`] lowest-indexed failure
+    /// reports, in device order — the same sample at any worker count;
+    /// `stats.failed` is the true count.
     pub failures: Vec<JobFailure>,
     /// Faults the configured plan actually injected.
     pub faults: FaultStats,
@@ -96,44 +101,59 @@ pub struct StreamOutcome<A> {
     pub metrics: RunMetrics,
     /// Merged per-worker counters and histograms.
     pub worker_metrics: WorkerMetrics,
-    /// Span profile: producer and drainer threads first, then workers.
+    /// Span profile: the calling thread first, then workers.
     pub profile: obs::Profile,
 }
 
+/// What one worker hands back at join.
+struct Shard<A> {
+    acc: A,
+    executed: u64,
+    failed: u64,
+    /// The worker's first failures. Each worker claims indices in
+    /// increasing order, so these are its lowest-indexed ones, and the
+    /// union over workers holds the stream's lowest.
+    failures: Vec<JobFailure>,
+    wm: WorkerMetrics,
+    spans: obs::ThreadSpans,
+}
+
 impl Engine {
-    /// Streams every spec from `specs` through the worker pool, folding
-    /// each result into a per-worker accumulator and merging the
-    /// shards at the end.
+    /// Streams devices `0..devices` through the worker pool: each
+    /// worker claims the next index, builds its spec with `spec_for`,
+    /// folds the result into a per-worker accumulator, and the shards
+    /// merge at the end.
     ///
-    /// `fold` is called once per completed device with the device's
-    /// stream index, spec, result, and windowed timeline (empty unless
+    /// `spec_for` must be a pure function of the index — it runs on
+    /// whichever worker claims the device. `fold` is called once per
+    /// completed device with the device's index, spec, result, and
+    /// windowed timeline (empty unless
     /// [`crate::EngineConfig::timeline_windows`] is nonzero); `merge`
     /// folds one worker's accumulator into another. Both must be
-    /// order-independent for deterministic output (module docs). The
-    /// spec iterator is pulled lazily from a producer thread with
-    /// bounded-channel backpressure: the stream never materializes.
-    pub fn run_stream<I, A, F, M>(
+    /// order-independent for deterministic output (module docs).
+    pub fn run_stream<A, G, F, M>(
         &self,
         batch: &str,
-        specs: I,
+        devices: u64,
+        spec_for: G,
         fold: F,
         merge: M,
     ) -> StreamOutcome<A>
     where
-        I: IntoIterator<Item = JobSpec>,
-        I::IntoIter: Send,
         A: Default + Send,
+        G: Fn(u64) -> JobSpec + Sync,
         F: Fn(&mut A, u64, &JobSpec, &JobResult, &[WindowSample]) + Sync,
         M: Fn(&mut A, A),
     {
         let started = Instant::now();
         let faults = FaultInjector::new(self.config().faults);
+        let core = Containment::new(
+            &faults,
+            self.config().max_retries,
+            self.config().timeline_windows,
+        );
         let workers = self.worker_count().max(1);
-        let max_retries = self.config().max_retries;
         let progress = self.config().progress;
-        let timeline_windows = self.config().timeline_windows;
-        let specs = specs.into_iter();
-        let fold = &fold;
 
         // Live-telemetry handles, resolved once so the hot paths below
         // touch only atomics (no-ops while the metrics plane is off).
@@ -145,244 +165,129 @@ impl Engine {
             "engine_jobs_failed_total",
             "Jobs that exhausted their retry budget.",
         );
-        let m_retries = obs::registry::counter(
-            "engine_job_retries_total",
-            "Job execution attempts beyond the first.",
-        );
         let m_dropped = obs::registry::counter(
             "engine_failures_dropped_total",
             "Failure reports dropped by bounded retention (still counted as failed).",
         );
-        let g_spec_queue = obs::registry::gauge(
-            "engine_spec_queue_depth",
-            "Specs produced but not yet claimed by a worker.",
+        let g_remaining = obs::registry::gauge(
+            "engine_stream_devices_remaining",
+            "Stream devices not yet claimed by a worker.",
         );
-        let g_tick_queue = obs::registry::gauge(
-            "engine_result_queue_depth",
-            "Completions sent but not yet drained.",
-        );
-        let h_latency = obs::registry::histogram(
-            "engine_job_latency_us",
-            "Per-job wall-clock latency, microseconds.",
-        );
+        g_remaining.set(devices as i64);
 
-        let (spec_tx, spec_rx) =
-            channel::bounded::<(u64, JobSpec)>(workers * SPECS_AHEAD_PER_WORKER);
-        let (tick_tx, tick_rx) = channel::bounded::<Result<(), JobFailure>>(workers * 4);
-
-        let scope_outcome = crossbeam::thread::scope(|s| {
-            let faults = &faults;
-
-            // Producer: walks the generator, blocking whenever the
-            // workers are more than the channel bound behind. This
-            // thread is the only one that ever sees the iterator, so
-            // generation cost never serializes with simulation.
-            let producer = s.spawn(move |_| {
-                let span = obs::span::enter("generate");
-                let mut produced = 0u64;
-                for spec in specs {
-                    if spec_tx.send((produced, spec)).is_err() {
-                        // Every worker is gone (all dead); stop pulling.
-                        break;
-                    }
-                    // The vendored channel has no len(); depth is kept
-                    // by pairing this inc with the workers' dec.
-                    g_spec_queue.inc();
-                    produced += 1;
+        // The whole hand-off between threads: the next unclaimed index,
+        // and a completion count for progress lines. Relaxed suffices
+        // for both — neither publishes other data; each worker's results
+        // reach this thread through its join.
+        let next = AtomicU64::new(0);
+        let completed = AtomicU64::new(0);
+        let worker = |w: usize| {
+            let heartbeat = obs::watchdog::register(w);
+            let w_jobs = obs::registry::counter(
+                &format!("engine_worker_jobs_total{{worker=\"{w}\"}}"),
+                "Jobs completed, by worker.",
+            );
+            let mut shard = Shard {
+                acc: A::default(),
+                executed: 0,
+                failed: 0,
+                failures: Vec::new(),
+                wm: WorkerMetrics::new(),
+                spans: obs::ThreadSpans::default(),
+            };
+            let mut last_report = Instant::now();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= devices {
+                    break;
                 }
-                drop(span);
-                (produced, obs::span::drain())
-            });
-
-            // Drainer: counts completions and keeps a bounded sample of
-            // failures. Separate from the workers so progress keeps
-            // flowing while every worker is mid-simulation.
-            let drainer = s.spawn(move |_| {
-                let span = obs::span::enter("drain");
-                let mut executed = 0u64;
-                let mut failed = 0u64;
-                let mut failures = Vec::new();
-                let mut last_report = Instant::now();
-                let mut dropped = 0u64;
-                for tick in tick_rx.iter() {
-                    g_tick_queue.dec();
-                    match tick {
-                        Ok(()) => executed += 1,
-                        Err(failure) => {
-                            failed += 1;
-                            obs::error!("engine: {failure}");
-                            if failures.len() < MAX_RETAINED_FAILURES {
-                                failures.push(failure);
-                            } else {
-                                dropped += 1;
-                                m_dropped.inc();
-                            }
-                        }
+                g_remaining.dec();
+                let spec = spec_for(index);
+                let job = core.run(&spec, &heartbeat, &mut shard.wm);
+                match job.outcome {
+                    Ok((result, timeline)) => {
+                        fold(&mut shard.acc, index, &spec, &result, &timeline);
+                        shard.executed += 1;
+                        m_jobs.inc();
+                        w_jobs.inc();
                     }
-                    if progress && last_report.elapsed() >= Duration::from_millis(500) {
-                        last_report = Instant::now();
-                        let done = executed + failed;
-                        let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                        obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
-                    }
-                }
-                drop(span);
-                (executed, failed, failures, dropped, obs::span::drain())
-            });
-
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let spec_rx = spec_rx.clone();
-                let tick_tx = tick_tx.clone();
-                handles.push(s.spawn(move |_| {
-                    let heartbeat = obs::watchdog::register(w);
-                    let w_jobs = obs::registry::counter(
-                        &format!("engine_worker_jobs_total{{worker=\"{w}\"}}"),
-                        "Jobs completed, by worker.",
-                    );
-                    let mut acc = A::default();
-                    let mut wm = WorkerMetrics::new();
-                    while let Ok((index, spec)) = spec_rx.recv() {
-                        g_spec_queue.dec();
-                        let _job_span = obs::span::enter("job");
-                        let job_started = Instant::now();
-                        let key = spec.key();
-                        if obs::watchdog::active() {
-                            heartbeat.start(&key.to_string());
-                        }
-                        if let Some(stall) = faults.worker_stall(key) {
-                            // Wall-clock latency only: the job's result
-                            // is untouched, but the heartbeat above now
-                            // has something for the watchdog to catch.
-                            obs::debug!(
-                                "engine: injected_stall key={key} ms={}",
-                                stall.as_millis()
-                            );
-                            std::thread::sleep(stall);
-                        }
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            attempt += 1;
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if faults.worker_panic(key, attempt) {
-                                        panic!(
-                                            "injected fault: worker panic \
-                                         (job {key}, attempt {attempt})"
-                                        );
-                                    }
-                                    if timeline_windows > 0 {
-                                        spec.execute_timeline(timeline_windows)
-                                    } else {
-                                        (spec.execute(), Vec::new())
-                                    }
-                                }));
-                            match run {
-                                Ok(r) => break Ok(r),
-                                Err(payload) if attempt > max_retries => {
-                                    break Err(panic_message(payload.as_ref()))
-                                }
-                                Err(_) => {
-                                    wm.inc("retries");
-                                    m_retries.inc();
-                                    obs::debug!("engine: job_retry key={key} attempt={attempt}");
-                                }
-                            }
+                    Err(message) => {
+                        shard.failed += 1;
+                        m_failed.inc();
+                        let failure = JobFailure {
+                            index: index as usize,
+                            key: job.key,
+                            label: spec.label(),
+                            attempts: job.attempts,
+                            message,
                         };
-                        let tick = match outcome {
-                            Ok((result, timeline)) => {
-                                wm.inc("jobs_executed");
-                                wm.add("sim_us", spec.duration.as_micros());
-                                wm.observe("utilization", result.mean_utilization);
-                                fold(&mut acc, index, &spec, &result, &timeline);
-                                m_jobs.inc();
-                                w_jobs.inc();
-                                Ok(())
-                            }
-                            Err(message) => {
-                                m_failed.inc();
-                                Err(JobFailure {
-                                    index: index as usize,
-                                    key,
-                                    label: spec.label(),
-                                    attempts: attempt,
-                                    message,
-                                })
-                            }
-                        };
-                        wm.observe_log("job_latency_us", job_started.elapsed().as_secs_f64() * 1e6);
-                        h_latency.observe(job_started.elapsed().as_secs_f64() * 1e6);
-                        if tick_tx.send(tick).is_err() {
-                            break;
+                        obs::error!("engine: {failure}");
+                        if shard.failures.len() < MAX_RETAINED_FAILURES {
+                            shard.failures.push(failure);
+                        } else {
+                            m_dropped.inc();
                         }
-                        g_tick_queue.inc();
                     }
-                    heartbeat.idle();
-                    (acc, wm, obs::span::drain())
-                }));
+                }
+                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                // Worker 0 speaks for the pool, from the shared count.
+                if progress && w == 0 && last_report.elapsed() >= REPORT_EVERY {
+                    last_report = Instant::now();
+                    let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+                    obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
+                }
             }
-            // Only worker clones may keep the channels open: workers
-            // finish when the producer exhausts the stream, the drainer
-            // when the last worker hangs up.
-            drop(spec_rx);
-            drop(tick_tx);
+            heartbeat.idle();
+            shard.spans = obs::span::drain();
+            shard
+        };
 
-            let mut acc = A::default();
-            let mut merged_wm = WorkerMetrics::new();
-            let mut dead_workers = 0usize;
-            let mut thread_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((worker_acc, wm, spans)) => {
-                        merge(&mut acc, worker_acc);
-                        merged_wm.merge_from(&wm);
-                        if !spans.is_empty() {
-                            thread_spans.push((format!("worker-{w}"), spans));
-                        }
-                    }
-                    Err(payload) => {
-                        dead_workers += 1;
-                        obs::error!(
-                            "engine: stream worker died: {}",
-                            panic_message(payload.as_ref())
-                        );
-                    }
-                }
-            }
-            let (total, producer_spans) = producer.join().expect("producer must not panic");
-            let (executed, failed, failures, failures_dropped, drainer_spans) =
-                drainer.join().expect("drainer must not panic");
-            for (name, spans) in [("drainer", drainer_spans), ("producer", producer_spans)] {
-                if !spans.is_empty() {
-                    thread_spans.insert(0, (name.to_string(), spans));
-                }
-            }
-            (
-                acc,
-                total,
-                executed,
-                failed,
-                failures,
-                failures_dropped,
-                dead_workers,
-                merged_wm,
-                thread_spans,
-            )
+        let joined: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let worker = &worker;
+                    s.spawn(move || worker(w))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        let (
-            acc,
-            total,
-            executed,
-            failed,
-            failures,
-            failures_dropped,
-            dead_workers,
-            worker_totals,
-            thread_spans,
-        ) = scope_outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+
+        let mut acc = A::default();
+        let (mut executed, mut failed, mut dead_workers) = (0u64, 0u64, 0usize);
+        let mut failures = Vec::new();
+        let mut worker_totals = WorkerMetrics::new();
+        let mut thread_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
+        for (w, joined) in joined.into_iter().enumerate() {
+            match joined {
+                Ok(shard) => {
+                    merge(&mut acc, shard.acc);
+                    executed += shard.executed;
+                    failed += shard.failed;
+                    failures.extend(shard.failures);
+                    worker_totals.merge_from(&shard.wm);
+                    if !shard.spans.is_empty() {
+                        thread_spans.push((format!("worker-{w}"), shard.spans));
+                    }
+                }
+                Err(payload) => {
+                    dead_workers += 1;
+                    obs::error!(
+                        "engine: stream worker died: {}",
+                        panic_message(payload.as_ref())
+                    );
+                }
+            }
+        }
+        // Workers counted their own overflow as dropped live; the merge
+        // drops the rest.
+        let kept_by_workers = failures.len();
+        failures.sort_by_key(|f| f.index);
+        failures.truncate(MAX_RETAINED_FAILURES);
+        m_dropped.add((kept_by_workers - failures.len()) as u64);
+        let failures_dropped = failed - failures.len() as u64;
 
         let stats = StreamStats {
-            total,
+            total: devices,
             executed,
             failed,
             workers,
@@ -471,24 +376,23 @@ mod tests {
     use sim_core::FleetSummary;
     use workloads::Benchmark;
 
-    /// A lazy stream of `n` distinct half-second jobs.
-    fn spec_stream(n: u64) -> impl Iterator<Item = JobSpec> + Send {
-        (0..n).map(|i| {
-            let mut spec = JobSpec::new(
-                WorkloadSpec::Benchmark(Benchmark::Web),
-                PolicyDesc::best_from_paper(),
-                1,
-                1000 + i,
-            );
-            spec.duration = sim_core::SimDuration::from_millis(500);
-            spec
-        })
+    /// Device `i` of a stream of distinct half-second jobs.
+    fn spec_at(i: u64) -> JobSpec {
+        let mut spec = JobSpec::new(
+            WorkloadSpec::Benchmark(Benchmark::Web),
+            PolicyDesc::best_from_paper(),
+            1,
+            1000 + i,
+        );
+        spec.duration = sim_core::SimDuration::from_millis(500);
+        spec
     }
 
     fn summarize(config: EngineConfig, n: u64) -> StreamOutcome<FleetSummary> {
         Engine::new(config).run_stream(
             "stream-test",
-            spec_stream(n),
+            n,
+            spec_at,
             |acc: &mut FleetSummary, _i, _spec, r, _tl| {
                 acc.record("energy_j", r.energy_j);
                 acc.record("misses", r.misses as f64);
@@ -582,6 +486,40 @@ mod tests {
     }
 
     #[test]
+    fn retained_failures_are_the_lowest_indices_at_any_worker_count() {
+        let all_panic = |jobs| {
+            summarize(
+                EngineConfig {
+                    jobs,
+                    max_retries: 0,
+                    faults: Some(FaultPlan {
+                        panic: 1.0,
+                        max_panics: u32::MAX,
+                        ..FaultPlan::default()
+                    }),
+                    ..EngineConfig::hermetic()
+                },
+                50,
+            )
+        };
+        let indices = |out: &StreamOutcome<FleetSummary>| -> Vec<usize> {
+            out.failures.iter().map(|f| f.index).collect()
+        };
+        let one = all_panic(1);
+        let four = all_panic(4);
+        assert_eq!(
+            indices(&one),
+            (0..MAX_RETAINED_FAILURES).collect::<Vec<_>>()
+        );
+        assert_eq!(indices(&one), indices(&four), "jobs=1 vs jobs=4");
+        assert_eq!(one.failures, four.failures, "whole reports match too");
+        assert_eq!(
+            four.metrics.failures_dropped,
+            50 - MAX_RETAINED_FAILURES as u64
+        );
+    }
+
+    #[test]
     fn empty_stream_is_fine() {
         let out = summarize(EngineConfig::hermetic(), 0);
         assert_eq!(out.stats.total, 0);
@@ -599,7 +537,8 @@ mod tests {
         })
         .run_stream(
             "stream-test",
-            spec_stream(6),
+            6,
+            spec_at,
             |acc: &mut (FleetSummary, Vec<usize>), _i, _spec, r, tl| {
                 acc.0.record("energy_j", r.energy_j);
                 acc.0.record("misses", r.misses as f64);
@@ -622,6 +561,7 @@ mod tests {
 
     #[test]
     fn watchdog_flags_an_injected_stall() {
+        let _serial = crate::worker::watchdog_test_serial();
         obs::watchdog::set_active(true);
         let (out, stalls) = std::thread::scope(|s| {
             let run = s.spawn(|| {

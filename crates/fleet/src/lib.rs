@@ -6,14 +6,16 @@
 //! devices whose hardware, charge state and workloads vary? It builds
 //! on three pieces:
 //!
-//! - [`PopulationConfig`]/[`DevicePopulation`] ([`population`]) — a
-//!   seeded generator that describes each device (hardware spread over
-//!   the stock Itsy, a workload drawn from a mix, per-device trace
-//!   jitter) as a pure function of `(seed, device_id)`, exposed as a
-//!   lazy [`engine::JobSpec`] stream that is never materialized;
-//! - [`engine::Engine::run_stream`] — bounded-channel streaming
-//!   execution with per-worker fold, so peak RSS is flat in device
-//!   count;
+//! - [`PopulationConfig`] ([`population`]) — a seeded generator that
+//!   describes each device (hardware spread over the stock Itsy, a
+//!   workload drawn from a mix, per-device trace jitter) as a pure
+//!   function of `(seed, device_id)`, so the population is never
+//!   materialized: [`PopulationConfig::spec_for`] builds any device's
+//!   [`engine::JobSpec`] on demand;
+//! - [`engine::Engine::run_stream`] — streaming execution in which
+//!   each worker claims device indices from an atomic counter, builds
+//!   their specs and folds into its own accumulator, so peak RSS is
+//!   flat in device count;
 //! - [`sim_core::FleetSummary`] — mergeable log-histogram sketches
 //!   whose bit-for-bit associative merge makes the population summary
 //!   byte-identical at any `--jobs`, verified by diffing
@@ -25,7 +27,7 @@
 pub mod population;
 pub mod run;
 
-pub use population::{DevicePopulation, PopulationConfig};
+pub use population::PopulationConfig;
 pub use run::{
     digest, fold_result, run, FleetAccum, FleetOutcome, FleetWindow, OSCILLATION_SWITCHES_PER_SEC,
     TIMELINE_WINDOWS,

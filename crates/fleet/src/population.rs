@@ -2,9 +2,10 @@
 //!
 //! A population is described by a [`PopulationConfig`] — how many
 //! devices, a seed, per-device run length, the workload mix and the
-//! policy under test — and realized as a [`DevicePopulation`]: a lazy
-//! iterator of [`JobSpec`]s that is never materialized. A million-device
-//! population costs a few dozen bytes until a worker pulls from it.
+//! policy under test — and realized one device at a time by
+//! [`PopulationConfig::spec_for`]. The population is never
+//! materialized: a million-device population costs a few dozen bytes
+//! until a worker claims a device index and builds its spec.
 //!
 //! # Determinism
 //!
@@ -124,68 +125,43 @@ impl PopulationConfig {
         .with_hw(hw)
         .with_fidelity(self.fidelity)
     }
-
-    /// The population as a lazy spec stream.
-    pub fn stream(&self) -> DevicePopulation {
-        DevicePopulation {
-            config: self.clone(),
-            next: 0,
-        }
-    }
 }
-
-/// Lazy iterator over a population's [`JobSpec`]s, in device-id order.
-///
-/// Holds only the config and a cursor — O(1) memory regardless of
-/// population size.
-#[derive(Debug, Clone)]
-pub struct DevicePopulation {
-    config: PopulationConfig,
-    next: u64,
-}
-
-impl Iterator for DevicePopulation {
-    type Item = JobSpec;
-
-    fn next(&mut self) -> Option<JobSpec> {
-        if self.next >= self.config.devices {
-            return None;
-        }
-        let spec = self.config.spec_for(self.next);
-        self.next += 1;
-        Some(spec)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.config.devices - self.next) as usize;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for DevicePopulation {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// Every device of `cfg`, in id order.
+    fn devices(cfg: &PopulationConfig) -> impl Iterator<Item = JobSpec> + '_ {
+        (0..cfg.devices).map(|d| cfg.spec_for(d))
+    }
+
     #[test]
-    fn stream_matches_pointwise_generation() {
+    fn spec_for_is_independent_of_generation_order() {
+        // Stream workers claim devices in whatever order the scheduler
+        // hands them out; a device's spec must not depend on it.
         let cfg = PopulationConfig::new(64, 7);
-        for (id, spec) in cfg.stream().enumerate() {
-            assert_eq!(spec, cfg.spec_for(id as u64), "device {id}");
+        let ascending: Vec<JobSpec> = devices(&cfg).collect();
+        for id in (0..cfg.devices).rev() {
+            assert_eq!(cfg.spec_for(id), ascending[id as usize], "device {id}");
         }
-        assert_eq!(cfg.stream().count(), 64);
-        assert_eq!(cfg.stream().len(), 64);
+        // Interleaved claims, as two workers would make them.
+        for id in (0..cfg.devices)
+            .step_by(2)
+            .chain((1..cfg.devices).step_by(2))
+        {
+            assert_eq!(cfg.spec_for(id), ascending[id as usize], "device {id}");
+        }
     }
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
         let a = PopulationConfig::new(16, 1);
         let b = PopulationConfig::new(16, 1);
-        assert!(a.stream().eq(b.stream()), "same seed, same population");
+        assert!(devices(&a).eq(devices(&b)), "same seed, same population");
         let c = PopulationConfig::new(16, 2);
-        let differing = a.stream().zip(c.stream()).filter(|(x, y)| x != y).count();
+        let differing = devices(&a).zip(devices(&c)).filter(|(x, y)| x != y).count();
         assert!(differing > 12, "reseeding must move nearly every device");
     }
 
@@ -194,7 +170,7 @@ mod tests {
         let cfg = PopulationConfig::new(500, 3);
         let mut mains = 0u64;
         let mut workloads = BTreeSet::new();
-        for spec in cfg.stream() {
+        for spec in devices(&cfg) {
             assert!((950_000..=1_050_000).contains(&spec.hw.core_ppm));
             assert!((970_000..=1_030_000).contains(&spec.hw.base_ppm));
             assert!((20..=100).contains(&spec.hw.charge_pct));
@@ -215,7 +191,7 @@ mod tests {
         // A correlated generator would hand neighbors related trace
         // seeds; the mixed per-device seeding must not.
         let cfg = PopulationConfig::new(100, 0);
-        let seeds: BTreeSet<u64> = cfg.stream().map(|s| s.seed).collect();
+        let seeds: BTreeSet<u64> = devices(&cfg).map(|s| s.seed).collect();
         assert_eq!(seeds.len(), 100, "trace seeds must all differ");
         assert_ne!(device_seed(0, 0), device_seed(0, 1));
         assert_ne!(device_seed(0, 0), device_seed(1, 0));
@@ -225,14 +201,14 @@ mod tests {
     fn fleet_defaults_to_summary_fidelity() {
         let cfg = PopulationConfig::new(8, 9);
         assert_eq!(cfg.fidelity, SimFidelity::Summary);
-        for spec in cfg.stream() {
+        for spec in devices(&cfg) {
             assert_eq!(spec.fidelity, SimFidelity::Summary);
             assert!(spec.canonical().starts_with("v4;"));
         }
         // Full-fidelity populations re-key every device under v3 but
         // leave all other draws untouched.
         let full = cfg.clone().with_fidelity(SimFidelity::Full);
-        for (s, f) in cfg.stream().zip(full.stream()) {
+        for (s, f) in devices(&cfg).zip(devices(&full)) {
             assert!(f.canonical().starts_with("v3;"));
             assert_ne!(s.key(), f.key());
             assert_eq!(s.hw, f.hw);

@@ -1,8 +1,9 @@
 //! The fleet run driver: population → streaming engine → sketches.
 //!
-//! [`run`] pushes a [`PopulationConfig`]'s lazy spec stream through
-//! [`Engine::run_stream`], folding every device's [`JobResult`] into a
-//! [`FleetAccum`] with [`fold_result`]. The fold touches only
+//! [`run`] streams a [`PopulationConfig`]'s devices through
+//! [`Engine::run_stream`] — each worker builds the specs it claims
+//! with [`PopulationConfig::spec_for`] — folding every device's
+//! [`JobResult`] into a [`FleetAccum`] with [`fold_result`]. The fold touches only
 //! commutative-merge sketches, so the accumulator — and its summary's
 //! [`encode`](FleetSummary::encode) bytes — is identical at any
 //! `--jobs` and under injected chaos (retries absorb the panics).
@@ -152,9 +153,13 @@ pub fn fold_result(
 /// output. The timeline half of the accumulator is only populated when
 /// the engine's `timeline_windows` is non-zero.
 pub fn run(engine: &Engine, batch: &str, population: &PopulationConfig) -> FleetOutcome {
-    engine.run_stream(batch, population.stream(), fold_result, |into, from| {
-        into.merge(&from)
-    })
+    engine.run_stream(
+        batch,
+        population.devices,
+        |device| population.spec_for(device),
+        fold_result,
+        |into, from| into.merge(&from),
+    )
 }
 
 /// Renders the human-readable digest the `repro fleet` command prints:

@@ -31,6 +31,13 @@ use crate::watchdog;
 /// heartbeats.
 const SNAPSHOT_EVERY: Duration = Duration::from_millis(250);
 
+/// How long one read from, or one write to, a scrape connection may
+/// block. Connections are served one at a time, so without the bound a
+/// client that connects and never sends — or sends and never reads a
+/// response larger than the socket buffers — would wedge every later
+/// scrape.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Default stall threshold: a worker silent for this long while busy is
 /// reported. Overridable via `REPRO_STALL_MS` (smoke tests inject
 /// sub-second stalls).
@@ -64,7 +71,7 @@ fn serve_loop(listener: &TcpListener) {
             Ok(stream) => {
                 // Scrapes are rare (seconds apart) and tiny; serving
                 // inline keeps the exporter single-threaded and dumb.
-                let _ = respond(stream);
+                let _ = respond(stream, registry::render_prometheus);
             }
             Err(e) => {
                 crate::debug!("obs: exporter accept error: {e}");
@@ -73,10 +80,12 @@ fn serve_loop(listener: &TcpListener) {
     }
 }
 
-fn respond(mut stream: TcpStream) -> std::io::Result<()> {
+/// Answers one connection with a fresh `render()` body.
+fn respond(mut stream: TcpStream, render: fn() -> String) -> std::io::Result<()> {
     // Drain (up to a sane bound) whatever request line and headers the
     // scraper sent; the response is the same for any path.
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut buf = [0u8; 4096];
     let mut seen = Vec::new();
     loop {
@@ -91,7 +100,7 @@ fn respond(mut stream: TcpStream) -> std::io::Result<()> {
             Err(_) => break,
         }
     }
-    let body = registry::render_prometheus();
+    let body = render();
     let header = format!(
         "HTTP/1.1 200 OK\r\n\
          Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -187,5 +196,47 @@ mod tests {
         assert!(scrape(addr).contains("exporter_test_total 4"));
         registry::set_enabled(false);
         watchdog::set_active(false);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_block_the_next_scrape() {
+        // A body far past the socket buffers, so writing it to a client
+        // that never reads blocks until the write timeout fires.
+        fn huge() -> String {
+            "# padding\n".repeat(2_400_000)
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+        let addr = listener.local_addr().expect("bound address");
+        // The exporter's serving discipline: one connection at a time.
+        let server = std::thread::spawn(move || {
+            for stream in listener.incoming().take(2) {
+                let _ = respond(stream.expect("accept"), huge);
+            }
+        });
+
+        let mut stuck = TcpStream::connect(addr).expect("connect");
+        stuck
+            .write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+            .expect("send request");
+        // The listener accepts in connection order, so the exporter is
+        // busy with the stuck client before it sees the next one.
+        let started = Instant::now();
+        let mut next = TcpStream::connect(addr).expect("connect");
+        next.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        next.write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+            .expect("send request");
+        let mut response = Vec::new();
+        next.read_to_end(&mut response)
+            .expect("the next scrape is served while the stuck client sits");
+        assert!(response.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(response.len() > huge().len(), "whole body arrived");
+        assert!(
+            started.elapsed() < Duration::from_secs(15),
+            "served after {:?}",
+            started.elapsed()
+        );
+        drop(stuck);
+        server.join().expect("server thread");
     }
 }

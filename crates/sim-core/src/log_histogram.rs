@@ -240,7 +240,11 @@ impl LogHistogram {
     }
 
     /// Decodes [`encode`](Self::encode) output; `None` on any
-    /// malformed, missing or inconsistent field.
+    /// malformed, missing or inconsistent field. Every accepted state is
+    /// one recording could reach: bucket counts are nonzero and sum
+    /// (without overflow) with the zero bucket to the count; an empty
+    /// histogram has no buckets, no sum and the [`new`](Self::new)
+    /// min/max sentinels; a non-empty one has finite `min <= max`.
     pub fn decode(s: &str) -> Option<Self> {
         let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
         for pair in s.trim().split(';') {
@@ -257,15 +261,27 @@ impl LogHistogram {
         if !body.is_empty() {
             for pair in body.split(',') {
                 let (i, c) = pair.split_once(':')?;
-                let prev = buckets.insert(i.parse::<i32>().ok()?, c.parse::<u64>().ok()?);
-                if prev.is_some() {
+                let c = c.parse::<u64>().ok()?;
+                if c == 0 || buckets.insert(i.parse::<i32>().ok()?, c).is_some() {
                     return None;
                 }
             }
         }
         // Every recorded sample is in exactly one bucket (or zeros).
-        let bucketed: u64 = buckets.values().sum();
+        let bucketed = buckets
+            .values()
+            .try_fold(0u64, |total, &c| total.checked_add(c))?;
         if zeros.checked_add(bucketed)? != count {
+            return None;
+        }
+        let consistent = if count == 0 {
+            sum_fixed == 0
+                && min.to_bits() == f64::INFINITY.to_bits()
+                && max.to_bits() == f64::NEG_INFINITY.to_bits()
+        } else {
+            min.is_finite() && max.is_finite() && min <= max
+        };
+        if !consistent {
             return None;
         }
         Some(LogHistogram {
@@ -428,6 +444,38 @@ mod tests {
         // Empty histogram round-trips too.
         let empty = LogHistogram::new();
         assert_eq!(LogHistogram::decode(&empty.encode()), Some(empty));
+    }
+
+    #[test]
+    fn decode_rejects_states_no_recording_reaches() {
+        const EMPTY_MINMAX: &str = "min=7ff0000000000000;max=fff0000000000000";
+        // Bucket counts that wrap to the claimed count of 0.
+        let wrapping = format!("n=0;z=0;s=0;{EMPTY_MINMAX};b=0:18446744073709551615,1:1");
+        assert_eq!(LogHistogram::decode(&wrapping), None);
+        // An empty histogram carries no buckets, sum or extremes.
+        assert_eq!(
+            LogHistogram::decode(&format!("n=0;z=0;s=0;{EMPTY_MINMAX};b=0:0")),
+            None
+        );
+        assert_eq!(
+            LogHistogram::decode(&format!("n=0;z=0;s=5;{EMPTY_MINMAX};b=")),
+            None
+        );
+        let zero = 0.0f64.to_bits();
+        assert_eq!(
+            LogHistogram::decode(&format!("n=0;z=0;s=0;min={zero:016x};max={zero:016x};b=")),
+            None
+        );
+        // A non-empty one has finite min <= max.
+        let (one, two) = (1.0f64.to_bits(), 2.0f64.to_bits());
+        let with = |min: u64, max: u64| format!("n=1;z=0;s=0;min={min:016x};max={max:016x};b=0:1");
+        assert!(LogHistogram::decode(&with(one, one)).is_some());
+        assert_eq!(LogHistogram::decode(&with(two, one)), None);
+        assert_eq!(LogHistogram::decode(&with(f64::NAN.to_bits(), one)), None);
+        assert_eq!(
+            LogHistogram::decode(&with(one, f64::INFINITY.to_bits())),
+            None
+        );
     }
 
     #[test]

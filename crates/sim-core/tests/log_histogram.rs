@@ -168,4 +168,67 @@ proptest! {
         let decoded = LogHistogram::decode(&h.encode());
         prop_assert_eq!(decoded, Some(h));
     }
+
+    /// Decoding a damaged encoding never panics, and whatever it
+    /// accepts is a sound histogram: it answers every query and
+    /// re-encodes to a string that decodes back to it.
+    #[test]
+    fn mutated_encodings_never_panic(
+        samples in proptest::collection::vec(-100.0f64..1e12, 0..40),
+        edits in proptest::collection::vec((0usize..4, any::<u64>(), 0usize..MUTANT_BYTES.len()), 1..6),
+    ) {
+        let mut h = LogHistogram::new();
+        for &s in &samples {
+            h.record(s);
+        }
+        let mut bytes = h.encode().into_bytes();
+        for &(op, at, pick) in &edits {
+            let at = (at % (bytes.len() as u64 + 1)) as usize;
+            let b = MUTANT_BYTES[pick];
+            match op {
+                0 if at < bytes.len() => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        let mutant = String::from_utf8(bytes).expect("mutations stay ASCII");
+        assert_sound_if_accepted(&mutant)?;
+    }
+
+    /// Random strings over the codec's alphabet never panic the
+    /// decoder either.
+    #[test]
+    fn random_encodings_never_panic(
+        picks in proptest::collection::vec(0usize..MUTANT_BYTES.len(), 0..120),
+    ) {
+        let noise: String = picks.iter().map(|&i| MUTANT_BYTES[i] as char).collect();
+        assert_sound_if_accepted(&noise)?;
+    }
 }
+
+/// Decodes `s` and, if it is accepted, checks it answers every query
+/// and re-encodes to a string that decodes back to it.
+fn assert_sound_if_accepted(s: &str) -> Result<(), TestCaseError> {
+    if let Some(back) = LogHistogram::decode(s) {
+        if let (Some(min), Some(max)) = (back.min(), back.max()) {
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                let p = back.percentile(q).expect("non-empty");
+                prop_assert!(min <= p && p <= max, "q={q}: {p} outside [{min}, {max}]");
+            }
+        }
+        let _ = (back.mean(), back.sum());
+        let mut merged = back.clone();
+        merged.merge(&back);
+        let again = LogHistogram::decode(&back.encode());
+        prop_assert_eq!(again.as_ref(), Some(&back));
+    }
+    Ok(())
+}
+
+/// Bytes a mutation writes: the codec's own alphabet (digits, hex,
+/// field names and separators) plus a few it never emits, so damaged
+/// encodings stay close enough to parse deep into the decoder.
+const MUTANT_BYTES: &[u8] = b"0123456789abcdef-+;:=,nzsmixb 9f7f";
