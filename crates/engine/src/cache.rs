@@ -24,6 +24,16 @@
 //! and the broken file is kept out of every future lookup but
 //! preserved for forensics.
 //!
+//! A probe encodes its spec once. The engine's keyed probe takes the
+//! canonical string and the key the caller already built
+//! ([`Engine::run_batch`](crate::Engine::run_batch) builds them once
+//! per cell); that one string locates the entry and is the one the
+//! stored spec is compared against. [`ResultCache::probe`] builds them
+//! from a spec and calls the keyed probe. The checksum is FNV-1a 64
+//! streamed over the lines as read (spec line, `\n`, result line,
+//! `\n`), so checking it copies nothing, and an entry whose line
+//! endings became `\r\n` still checks and is still served.
+//!
 //! Writes go through a temp file + rename so a run killed mid-write
 //! never leaves a half-entry that poisons a later `--resume`.
 
@@ -33,7 +43,7 @@ use std::path::{Path, PathBuf};
 
 use crate::fault::FaultInjector;
 use crate::job::{JobResult, JobSpec};
-use crate::key::{fnv64, ContentKey};
+use crate::key::{ContentKey, Fnv64};
 
 /// Format fence for entry files.
 const HEADER: &str = "itsy-dvs engine cache v2";
@@ -88,9 +98,16 @@ impl ResultCache {
         self.dir.join("quarantine")
     }
 
-    /// The checksummed payload of an entry body.
-    fn payload(spec_line: &str, result_line: &str) -> String {
-        format!("{spec_line}\n{result_line}\n")
+    /// The checksum of an entry's spec and result lines: FNV-1a 64
+    /// over `<spec_line>\n<result_line>\n`, streamed line by line so
+    /// no joined payload is built.
+    fn checksum(spec_line: &str, result_line: &str) -> u64 {
+        let mut h = Fnv64::new();
+        for line in [spec_line, result_line] {
+            h.write(line.as_bytes());
+            h.write(b"\n");
+        }
+        h.finish()
     }
 
     /// Looks up a spec. Returns `None` on missing, damaged, or
@@ -105,7 +122,20 @@ impl ResultCache {
     /// validation — the validation path cannot tell injected damage
     /// from real disk damage, which is the point.
     pub fn probe(&self, spec: &JobSpec, faults: &FaultInjector) -> CacheProbe {
-        let key = spec.key();
+        let canonical = spec.canonical();
+        self.probe_keyed(ContentKey::of(&canonical), &canonical, faults)
+    }
+
+    /// [`probe`](Self::probe) for a spec whose canonical encoding and
+    /// key the caller already holds, so a lookup encodes nothing:
+    /// `canonical` must be [`JobSpec::canonical`] and `key` its
+    /// [`ContentKey`].
+    pub(crate) fn probe_keyed(
+        &self,
+        key: ContentKey,
+        canonical: &str,
+        faults: &FaultInjector,
+    ) -> CacheProbe {
         let path = self.entry_path(key);
         let Ok(mut bytes) = fs::read(&path) else {
             return CacheProbe::Miss;
@@ -117,7 +147,7 @@ impl ResultCache {
         faults.damage_cache_bytes(key, &mut bytes);
 
         let _span = obs::span::enter("cache_decode");
-        match Self::parse(&bytes, spec) {
+        match Self::parse(&bytes, canonical) {
             Parsed::Hit(r) => CacheProbe::Hit(r),
             Parsed::Collision => CacheProbe::Miss,
             Parsed::Damaged => {
@@ -153,7 +183,20 @@ impl ResultCache {
         result: &JobResult,
         faults: &FaultInjector,
     ) -> io::Result<()> {
-        let key = spec.key();
+        let canonical = spec.canonical();
+        self.store_keyed(ContentKey::of(&canonical), &canonical, result, faults)
+    }
+
+    /// [`store_with`](Self::store_with) for a spec whose canonical
+    /// encoding and key the caller already holds (see
+    /// [`probe_keyed`](Self::probe_keyed)).
+    pub(crate) fn store_keyed(
+        &self,
+        key: ContentKey,
+        canonical: &str,
+        result: &JobResult,
+        faults: &FaultInjector,
+    ) -> io::Result<()> {
         if let Some(e) = faults.cache_write_error(key) {
             return Err(e);
         }
@@ -161,19 +204,17 @@ impl ResultCache {
         let parent = path.parent().expect("entry path has a shard dir");
         fs::create_dir_all(parent)?;
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        let payload = {
+        let (spec_line, result_line) = {
             let _span = obs::span::enter("result_encode");
-            Self::payload(
-                &format!("spec={}", spec.canonical()),
-                &format!("result={}", result.encode()),
+            (
+                format!("spec={canonical}"),
+                format!("result={}", result.encode()),
             )
         };
+        let crc = Self::checksum(&spec_line, &result_line);
         fs::write(
             &tmp,
-            format!(
-                "{HEADER}\n{payload}crc={:016x}\n",
-                fnv64(payload.as_bytes())
-            ),
+            format!("{HEADER}\n{spec_line}\n{result_line}\ncrc={crc:016x}\n"),
         )?;
         fs::rename(&tmp, &path)
     }
@@ -216,7 +257,9 @@ enum Parsed {
 }
 
 impl ResultCache {
-    fn parse(bytes: &[u8], spec: &JobSpec) -> Parsed {
+    /// Validates an entry's bytes against the requesting spec's
+    /// canonical encoding.
+    fn parse(bytes: &[u8], canonical: &str) -> Parsed {
         // Damaged entries may not be UTF-8 (a flipped bit can land in
         // a continuation byte); lossy decoding keeps them parseable
         // far enough to fail the checksum.
@@ -233,7 +276,7 @@ impl ResultCache {
         let crc_ok = crc_line
             .strip_prefix("crc=")
             .and_then(|c| u64::from_str_radix(c, 16).ok())
-            .is_some_and(|crc| crc == fnv64(Self::payload(spec_line, result_line).as_bytes()));
+            .is_some_and(|crc| crc == Self::checksum(spec_line, result_line));
         if !crc_ok {
             return Parsed::Damaged;
         }
@@ -243,7 +286,7 @@ impl ResultCache {
         ) else {
             return Parsed::Damaged;
         };
-        if stored_spec != spec.canonical() {
+        if stored_spec != canonical {
             return Parsed::Collision;
         }
         match JobResult::decode(encoded) {
@@ -260,6 +303,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::job::WorkloadSpec;
+    use crate::key::fnv64;
     use policies::PolicyDesc;
     use workloads::Benchmark;
 
@@ -374,6 +418,63 @@ mod tests {
     }
 
     #[test]
+    fn keyed_probe_agrees_with_probe() {
+        // Each case sets up the same entry twice, once per probe form,
+        // because a quarantining probe moves the entry away.
+        let s = spec(1);
+        type Setup = fn(&ResultCache, &JobSpec);
+        let cases: [(&str, Setup, CacheProbe); 4] = [
+            (
+                "hit",
+                |c, s| c.store(s, &result(0.1)).expect("store"),
+                CacheProbe::Hit(result(0.1)),
+            ),
+            ("miss", |_, _| {}, CacheProbe::Miss),
+            (
+                "quarantine",
+                |c, s| {
+                    c.store(s, &result(0.1)).expect("store");
+                    let path = c.entry_path(s.key());
+                    let mut bytes = fs::read(&path).expect("read");
+                    let last = bytes.len() - 2;
+                    bytes[last] ^= 0x01;
+                    fs::write(&path, bytes).expect("damage");
+                },
+                CacheProbe::Quarantined,
+            ),
+            (
+                "collision",
+                |c, s| {
+                    let payload = format!(
+                        "spec={}\nresult={}\n",
+                        s.canonical().replace("seed=1", "seed=999"),
+                        result(0.1).encode()
+                    );
+                    let path = c.entry_path(s.key());
+                    fs::create_dir_all(path.parent().unwrap()).expect("shard");
+                    let crc = fnv64(payload.as_bytes());
+                    fs::write(path, format!("{HEADER}\n{payload}crc={crc:016x}\n")).expect("forge");
+                },
+                CacheProbe::Miss,
+            ),
+        ];
+        for (case, setup, expected) in cases {
+            let plain = temp_cache(&format!("agree-plain-{case}"));
+            setup(&plain, &s);
+            let by_spec = plain.probe(&s, &FaultInjector::inert());
+            let keyed = temp_cache(&format!("agree-keyed-{case}"));
+            setup(&keyed, &s);
+            let by_key = keyed.probe_keyed(s.key(), &s.canonical(), &FaultInjector::inert());
+            assert_eq!(by_spec, expected, "{case}");
+            assert_eq!(by_key, expected, "{case}");
+            assert_eq!(plain.quarantined_len(), keyed.quarantined_len(), "{case}");
+            assert_eq!(plain.len(), keyed.len(), "{case}");
+            let _ = fs::remove_dir_all(plain.dir());
+            let _ = fs::remove_dir_all(keyed.dir());
+        }
+    }
+
+    #[test]
     fn spec_mismatch_is_rejected_but_not_quarantined() {
         // Simulate a key collision: a *healthy* entry exists under the
         // right key but records a different canonical spec. The entry
@@ -393,6 +494,26 @@ mod tests {
         )
         .expect("forge");
         assert_eq!(cache.probe(&s, &FaultInjector::inert()), CacheProbe::Miss);
+        assert_eq!(cache.quarantined_len(), 0);
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn crlf_line_endings_are_still_a_hit() {
+        // An entry whose newlines were rewritten as `\r\n` (a checkout
+        // or copy tool converting line endings) still carries the same
+        // lines, and the checksum is taken over the lines, so it is
+        // served rather than quarantined.
+        let cache = temp_cache("crlf");
+        let s = spec(1);
+        cache.store(&s, &result(0.1)).expect("store");
+        let path = cache.entry_path(s.key());
+        let text = fs::read_to_string(&path).expect("read");
+        fs::write(&path, text.replace('\n', "\r\n")).expect("rewrite");
+        assert_eq!(
+            cache.probe(&s, &FaultInjector::inert()),
+            CacheProbe::Hit(result(0.1))
+        );
         assert_eq!(cache.quarantined_len(), 0);
         let _ = fs::remove_dir_all(cache.dir());
     }

@@ -243,6 +243,16 @@ impl BatchOutcome {
     }
 }
 
+/// A batch cell left to simulate, with the content key and canonical
+/// string the collector built for it.
+struct Pending {
+    /// Position of the spec in the submitted batch.
+    index: usize,
+    spec: JobSpec,
+    key: ContentKey,
+    canonical: String,
+}
+
 /// The parallel, cache-aware experiment executor.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
@@ -343,28 +353,33 @@ impl Engine {
             Default::default()
         };
         let mut slots: Vec<Option<Result<JobResult, JobFailure>>> = Vec::with_capacity(specs.len());
+        // Cells left to simulate. Each cell is encoded and hashed once,
+        // here; a pending cell carries its key and canonical string to
+        // the drainer, which stores and journals its result under them.
+        let mut pending: Vec<Pending> = Vec::new();
         let (mut journal_hits, mut cache_hits, mut quarantined) = (0usize, 0usize, 0usize);
         // Metrics owned by the collector (calling) thread: cache-hit
         // service times live here because only this thread probes.
         let mut collector_wm = WorkerMetrics::new();
-        for spec in specs {
-            let key = {
+        for (index, spec) in specs.iter().enumerate() {
+            let (key, canonical) = {
                 let _s = obs::span::enter("content_key");
-                spec.key()
+                let canonical = spec.canonical();
+                (ContentKey::of(&canonical), canonical)
             };
             let hit = journaled.get(&key).copied().inspect(|r| {
                 journal_hits += 1;
                 // Backfill the cache so the next batch doesn't depend
                 // on the journal surviving.
                 if let Some(cache) = &cache {
-                    let _ = cache.store_with(spec, r, &faults);
+                    let _ = cache.store_keyed(key, &canonical, r, &faults);
                 }
             });
             let hit = hit.or_else(|| match &cache {
                 Some(c) => {
                     let _s = obs::span::enter("cache_probe");
                     let probe_started = Instant::now();
-                    match c.probe(spec, &faults) {
+                    match c.probe_keyed(key, &canonical, &faults) {
                         CacheProbe::Hit(r) => {
                             cache_hits += 1;
                             m_cache_hits.inc();
@@ -388,15 +403,16 @@ impl Engine {
                 }
                 None => None,
             });
+            if hit.is_none() {
+                pending.push(Pending {
+                    index,
+                    spec: spec.clone(),
+                    key,
+                    canonical,
+                });
+            }
             slots.push(hit.map(Ok));
         }
-
-        let pending: Vec<(usize, JobSpec)> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| (i, specs[i].clone()))
-            .collect();
 
         let mut journal = match Journal::open(&state_dir, batch) {
             Ok(j) => Some(j),
@@ -419,7 +435,8 @@ impl Engine {
             // Bounded results channel: workers block (briefly) instead
             // of piling completed results into unbounded memory when
             // the drainer's disk writes fall behind.
-            let (tx, rx) = channel::bounded::<(usize, u32, Result<JobResult, String>)>(workers * 4);
+            let (tx, rx) =
+                channel::bounded::<(Pending, u32, Result<JobResult, String>)>(workers * 4);
             let progress = self.config.progress;
             let core = Containment::new(&faults, self.config.max_retries, 0);
             let scope_outcome = crossbeam::thread::scope(|s| {
@@ -428,7 +445,6 @@ impl Engine {
                 // collection overlaps simulation.
                 let drainer = {
                     let cache = &cache;
-                    let specs = &specs;
                     let faults = &faults;
                     let mut slots = slots;
                     let mut journal = journal;
@@ -437,22 +453,25 @@ impl Engine {
                         let drain_span = obs::span::enter("drain");
                         let mut done = 0usize;
                         let mut last_report = Instant::now();
-                        for (i, attempts, outcome) in rx.iter() {
-                            let spec = &specs[i];
+                        for (cell, attempts, outcome) in rx.iter() {
+                            let (i, key) = (cell.index, cell.key);
                             match outcome {
                                 Ok(result) => {
                                     if let Some(cache) = cache {
                                         let _s = obs::span::enter("cache_write");
-                                        if let Err(e) = cache.store_with(spec, &result, faults) {
-                                            obs::warn!(
-                                                "engine: cache write failed for {}: {e}",
-                                                spec.key()
-                                            );
+                                        let stored = cache.store_keyed(
+                                            key,
+                                            &cell.canonical,
+                                            &result,
+                                            faults,
+                                        );
+                                        if let Err(e) = stored {
+                                            obs::warn!("engine: cache write failed for {key}: {e}");
                                         }
                                     }
                                     if let Some(j) = &mut journal {
                                         let _s = obs::span::enter("journal_append");
-                                        if let Err(e) = j.record_with(spec.key(), &result, faults) {
+                                        if let Err(e) = j.record_with(key, &result, faults) {
                                             obs::warn!("engine: journal write failed: {e}");
                                         }
                                     }
@@ -463,8 +482,8 @@ impl Engine {
                                     m_failed.inc();
                                     let failure = JobFailure {
                                         index: i,
-                                        key: spec.key(),
-                                        label: spec.label(),
+                                        key,
+                                        label: cell.spec.label(),
                                         attempts,
                                         message,
                                     };
@@ -505,15 +524,16 @@ impl Engine {
                         let mut wm = WorkerMetrics::new();
                         loop {
                             match queue.steal() {
-                                Steal::Success((i, spec)) => {
-                                    let job = core.run(&spec, &heartbeat, &mut wm);
-                                    let (key, attempts) = (job.key, job.attempts);
+                                Steal::Success(cell) => {
+                                    let job = core.run(&cell.spec, &heartbeat, &mut wm);
+                                    let attempts = job.attempts;
                                     let outcome = job.outcome.map(|(result, _)| result);
                                     let status = if outcome.is_ok() { "done" } else { "fail" };
                                     obs::debug!(
-                                        "engine: job_{status} key={key} attempts={attempts}"
+                                        "engine: job_{status} key={} attempts={attempts}",
+                                        cell.key
                                     );
-                                    if tx.send((i, attempts, outcome)).is_err() {
+                                    if tx.send((cell, attempts, outcome)).is_err() {
                                         break;
                                     }
                                 }

@@ -7,6 +7,8 @@
 //! produce bit-identical [`JobResult`]s — the invariant behind both the
 //! on-disk cache and the 1-vs-N-worker determinism guarantee.
 
+use std::fmt::Write;
+
 use itsy_hw::{
     battery::BatteryParams, Battery, ClockTable, DeviceSet, PowerModel, PowerParams, StepIndex,
 };
@@ -90,12 +92,22 @@ impl WorkloadSpec {
 
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
-        match self {
-            WorkloadSpec::Benchmark(b) => format!("bench:{}", b.name()),
-            WorkloadSpec::WebBrowse { poller } => format!("web_browse:poller={poller}"),
-            WorkloadSpec::MpegElastic => "mpeg_elastic".to_string(),
-            WorkloadSpec::SquareWave { busy, idle } => format!("square:busy={busy},idle={idle}"),
-        }
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
+    }
+
+    /// Appends [`canonical`](Self::canonical) to `out`.
+    pub(crate) fn write_canonical(&self, out: &mut String) {
+        let written = match self {
+            WorkloadSpec::Benchmark(b) => write!(out, "bench:{}", b.name()),
+            WorkloadSpec::WebBrowse { poller } => write!(out, "web_browse:poller={poller}"),
+            WorkloadSpec::MpegElastic => out.write_str("mpeg_elastic"),
+            WorkloadSpec::SquareWave { busy, idle } => {
+                write!(out, "square:busy={busy},idle={idle}")
+            }
+        };
+        written.expect("writing to a String cannot fail");
     }
 
     /// Short human-readable name.
@@ -143,10 +155,19 @@ impl HwSpec {
 
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
-        format!(
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
+    }
+
+    /// Appends [`canonical`](Self::canonical) to `out`.
+    pub(crate) fn write_canonical(&self, out: &mut String) {
+        write!(
+            out,
             "{},{},{},{}",
             self.core_ppm, self.base_ppm, self.battery_mwh, self.charge_pct
         )
+        .expect("writing to a String cannot fail");
     }
 
     /// The power model this hardware exhibits.
@@ -250,26 +271,36 @@ impl JobSpec {
     /// byte (existing caches and goldens stay valid); Summary specs
     /// encode under [`SUMMARY_SIM_VERSION`] with an explicit `fid`
     /// field, so the two fidelities can never collide in the cache.
+    ///
+    /// The string is written in one pass into one buffer sized for the
+    /// longest encodings, so building it allocates once.
     pub fn canonical(&self) -> String {
-        let common = format!(
-            "wl={};policy={};dur_us={};quantum_us={};step={};seed={};tol_us={};hw={}",
-            self.workload.canonical(),
-            self.policy.canonical(),
+        let mut out = String::with_capacity(CANONICAL_CAPACITY);
+        let version = if self.fidelity.is_summary() {
+            SUMMARY_SIM_VERSION
+        } else {
+            SIM_VERSION
+        };
+        write!(out, "v{version};wl=").expect("writing to a String cannot fail");
+        self.workload.write_canonical(&mut out);
+        out.push_str(";policy=");
+        self.policy.write_canonical(&mut out);
+        write!(
+            out,
+            ";dur_us={};quantum_us={};step={};seed={};tol_us={};hw=",
             self.duration.as_micros(),
             self.quantum.map_or(0, |q| q.as_micros()),
             self.initial_step,
             self.seed,
             self.tolerance.as_micros(),
-            self.hw.canonical(),
-        );
+        )
+        .expect("writing to a String cannot fail");
+        self.hw.write_canonical(&mut out);
         if self.fidelity.is_summary() {
-            format!(
-                "v{SUMMARY_SIM_VERSION};{common};fid={}",
-                self.fidelity.tag()
-            )
-        } else {
-            format!("v{SIM_VERSION};{common}")
+            out.push_str(";fid=");
+            out.push_str(self.fidelity.tag());
         }
+        out
     }
 
     /// The spec's content address.
@@ -399,6 +430,11 @@ impl JobSpec {
     }
 }
 
+/// Bytes reserved for a canonical encoding. The longest encodings the
+/// engine builds (an interval policy on battery hardware at Summary
+/// fidelity) run to about 225 bytes, so one allocation holds them.
+const CANONICAL_CAPACITY: usize = 256;
+
 /// Bump to invalidate every cached result when simulator semantics
 /// change (see [`JobSpec::canonical`]).
 ///
@@ -480,34 +516,62 @@ impl JobResult {
 
     /// Decodes [`JobResult::encode`] output; `None` on any malformed or
     /// missing field (the caller treats that as a cache miss).
+    ///
+    /// Fields may come in any order, names and values are trimmed, an
+    /// unknown name is skipped and a repeated one keeps its last value.
+    /// Each value lands in its field's slot as text and is parsed only
+    /// once every pair is read, so an overwritten value is never judged.
     pub fn decode(s: &str) -> Option<Self> {
-        let mut fields = std::collections::HashMap::new();
+        let mut slots: [Option<&str>; Self::FIELDS.len()] = [None; Self::FIELDS.len()];
         for pair in s.trim().split(';') {
             let (k, v) = pair.split_once('=')?;
-            fields.insert(k.trim(), v.trim());
+            let k = k.trim();
+            if let Some(slot) = Self::FIELDS.iter().position(|&name| name == k) {
+                slots[slot] = Some(v.trim());
+            }
         }
-        let f64_field = |k: &str| -> Option<f64> {
-            u64::from_str_radix(fields.get(k)?, 16)
-                .ok()
-                .map(f64::from_bits)
-        };
-        let u64_field = |k: &str| -> Option<u64> { fields.get(k)?.parse().ok() };
+        let hex_f64 = |v: Option<&str>| u64::from_str_radix(v?, 16).ok().map(f64::from_bits);
+        let dec_u64 = |v: Option<&str>| v?.parse::<u64>().ok();
+        #[rustfmt::skip]
+        let [
+            energy_j, core_energy_j, mean_freq_mhz, mean_utilization,
+            misses, max_lateness_us, clock_switches, voltage_switches, final_step,
+            frames_shown, frames_dropped, sched_dropped, battery_remaining,
+        ] = slots;
         Some(JobResult {
-            energy_j: f64_field("energy_j")?,
-            core_energy_j: f64_field("core_energy_j")?,
-            mean_freq_mhz: f64_field("mean_freq_mhz")?,
-            mean_utilization: f64_field("mean_utilization")?,
-            misses: u64_field("misses")?,
-            max_lateness_us: u64_field("max_lateness_us")?,
-            clock_switches: u64_field("clock_switches")?,
-            voltage_switches: u64_field("voltage_switches")?,
-            final_step: u64_field("final_step")?,
-            frames_shown: u64_field("frames_shown")?,
-            frames_dropped: u64_field("frames_dropped")?,
-            sched_dropped: u64_field("sched_dropped")?,
-            battery_remaining: f64_field("battery_remaining")?,
+            energy_j: hex_f64(energy_j)?,
+            core_energy_j: hex_f64(core_energy_j)?,
+            mean_freq_mhz: hex_f64(mean_freq_mhz)?,
+            mean_utilization: hex_f64(mean_utilization)?,
+            misses: dec_u64(misses)?,
+            max_lateness_us: dec_u64(max_lateness_us)?,
+            clock_switches: dec_u64(clock_switches)?,
+            voltage_switches: dec_u64(voltage_switches)?,
+            final_step: dec_u64(final_step)?,
+            frames_shown: dec_u64(frames_shown)?,
+            frames_dropped: dec_u64(frames_dropped)?,
+            sched_dropped: dec_u64(sched_dropped)?,
+            battery_remaining: hex_f64(battery_remaining)?,
         })
     }
+
+    /// Field names in [`encode`](Self::encode) order: the slot order of
+    /// [`decode`](Self::decode).
+    const FIELDS: [&'static str; 13] = [
+        "energy_j",
+        "core_energy_j",
+        "mean_freq_mhz",
+        "mean_utilization",
+        "misses",
+        "max_lateness_us",
+        "clock_switches",
+        "voltage_switches",
+        "final_step",
+        "frames_shown",
+        "frames_dropped",
+        "sched_dropped",
+        "battery_remaining",
+    ];
 }
 
 #[cfg(test)]
@@ -624,6 +688,114 @@ mod tests {
         assert_eq!(r, decoded);
         assert_eq!(JobResult::decode("garbage"), None);
         assert_eq!(JobResult::decode("energy_j=zz"), None);
+    }
+
+    /// A result whose fields are all distinct, for the decoder pins.
+    fn distinct_result() -> JobResult {
+        JobResult {
+            energy_j: 1.5,
+            core_energy_j: -0.0,
+            mean_freq_mhz: 59.0,
+            mean_utilization: 0.25,
+            misses: 1,
+            max_lateness_us: 2,
+            clock_switches: 3,
+            voltage_switches: 4,
+            final_step: 5,
+            frames_shown: 6,
+            frames_dropped: 7,
+            sched_dropped: 8,
+            battery_remaining: -1.0,
+        }
+    }
+
+    #[test]
+    fn decode_accepts_fields_in_any_order() {
+        let r = distinct_result();
+        let mut pairs: Vec<String> = r.encode().split(';').map(str::to_string).collect();
+        pairs.reverse();
+        assert_eq!(JobResult::decode(&pairs.join(";")), Some(r));
+        pairs.rotate_left(5);
+        assert_eq!(JobResult::decode(&pairs.join(";")), Some(r));
+    }
+
+    #[test]
+    fn decode_keeps_the_last_duplicate() {
+        let r = distinct_result();
+        let encoded = r.encode();
+        let later = format!("{encoded};misses=99;final_step=0");
+        let want = JobResult {
+            misses: 99,
+            final_step: 0,
+            ..r
+        };
+        assert_eq!(JobResult::decode(&later), Some(want));
+        // Only the surviving value is parsed: a malformed earlier copy
+        // is overwritten, a malformed later one is not.
+        assert_eq!(
+            JobResult::decode(&format!("misses=bogus;{encoded}")),
+            Some(r)
+        );
+        assert_eq!(JobResult::decode(&format!("{encoded};misses=bogus")), None);
+    }
+
+    #[test]
+    fn decode_ignores_unknown_fields() {
+        let r = distinct_result();
+        let encoded = r.encode();
+        assert_eq!(
+            JobResult::decode(&format!("future_field=xyz;{encoded};=;energy_jj=1")),
+            Some(r)
+        );
+    }
+
+    #[test]
+    fn decode_trims_whitespace() {
+        let r = distinct_result();
+        let spaced: Vec<String> = r
+            .encode()
+            .split(';')
+            .map(|pair| {
+                let (k, v) = pair.split_once('=').expect("pair");
+                format!(" {k}\t= {v} ")
+            })
+            .collect();
+        assert_eq!(
+            JobResult::decode(&format!("\n {} \r\n", spaced.join(";"))),
+            Some(r)
+        );
+    }
+
+    #[test]
+    fn decode_rejects_missing_or_malformed_fields() {
+        let encoded = distinct_result().encode();
+        let fields: Vec<&str> = encoded.split(';').collect();
+        for skip in 0..fields.len() {
+            let partial: Vec<&str> = fields
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != skip)
+                .map(|(_, f)| *f)
+                .collect();
+            assert_eq!(
+                JobResult::decode(&partial.join(";")),
+                None,
+                "missing {}",
+                fields[skip]
+            );
+        }
+        for bad in [
+            "",
+            ";",
+            &format!("{encoded};"),
+            &format!("{encoded};no_equals_sign"),
+            &encoded.replace("misses=1", "misses=-1"),
+            &encoded.replace("misses=1", "misses="),
+            &encoded.replace("energy_j=3ff8000000000000", "energy_j=1.5"),
+            &encoded.replace("energy_j=3ff8000000000000", "energy_j=13ff8000000000000"),
+        ] {
+            assert_eq!(JobResult::decode(bad), None, "accepted {bad:?}");
+        }
     }
 
     #[test]

@@ -23,12 +23,35 @@ const FNV64_PRIME: u64 = 0x00000100000001b3;
 /// entries and journal records. Like [`ContentKey`], it is defined
 /// over bytes so checksums are stable across platforms and runs.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV64_PRIME);
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming form of [`fnv64`]: feeding the bytes in pieces gives the
+/// same checksum as hashing them joined, so a checksum over several
+/// lines needs no joined copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A hasher that has seen no bytes.
+    pub(crate) fn new() -> Self {
+        Fnv64(FNV64_OFFSET)
     }
-    h
+
+    /// Feeds the next bytes.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV64_PRIME);
+        }
+    }
+
+    /// The checksum of every byte fed so far.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// A stable 128-bit content address.
@@ -90,6 +113,17 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
+    }
+
+    #[test]
+    fn streamed_fnv64_matches_one_shot() {
+        let whole = b"spec=v3;wl=bench:MPEG\nresult=misses=0\n";
+        for split in 0..=whole.len() {
+            let mut h = Fnv64::new();
+            h.write(&whole[..split]);
+            h.write(&whole[split..]);
+            assert_eq!(h.finish(), fnv64(whole), "split at {split}");
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl Engine {
                         m_failed.inc();
                         let failure = JobFailure {
                             index: index as usize,
-                            key: job.key,
+                            key: spec.key(),
                             label: spec.label(),
                             attempts: job.attempts,
                             message,
@@ -517,6 +517,28 @@ mod tests {
             four.metrics.failures_dropped,
             50 - MAX_RETAINED_FAILURES as u64
         );
+    }
+
+    #[test]
+    fn a_failure_without_a_fault_plan_still_reports_its_key() {
+        // No plan and no watchdog: the containment core never needs the
+        // key for a healthy device, but a failed one is reported with it.
+        let broken = |i: u64| spec_at(i).starting_at(200);
+        let out = Engine::new(EngineConfig {
+            max_retries: 0,
+            ..EngineConfig::hermetic()
+        })
+        .run_stream(
+            "stream-test",
+            3,
+            broken,
+            |acc: &mut FleetSummary, _i, _spec, _r, _tl| acc.bump_devices(),
+            |into, from| into.merge(&from),
+        );
+        assert_eq!(out.stats.failed, 3);
+        for f in &out.failures {
+            assert_eq!(f.key, broken(f.index as u64).key(), "device {}", f.index);
+        }
     }
 
     #[test]

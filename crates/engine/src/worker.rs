@@ -16,7 +16,15 @@
 //! Keeping the sequence in one place is what keeps the two paths from
 //! drifting: a stalled batch cell trips the watchdog exactly like a
 //! stalled fleet device.
+//!
+//! The job's content key is computed only when a step needs it: the
+//! heartbeat (watchdog armed), the fault draws (plan active) and the
+//! retry log line. A healthy job on a plain run never encodes its
+//! spec, which on the fleet path would otherwise cost a canonical
+//! string and a 128-bit hash per device. A caller that must name a
+//! failed job computes the key itself.
 
+use std::cell::OnceCell;
 use std::time::Instant;
 
 use kernel_sim::WindowSample;
@@ -27,12 +35,9 @@ use obs::WorkerMetrics;
 use crate::engine::panic_message;
 use crate::fault::FaultInjector;
 use crate::job::{JobResult, JobSpec};
-use crate::key::ContentKey;
 
 /// One job after containment.
 pub(crate) struct Contained {
-    /// The spec's content key.
-    pub key: ContentKey,
     /// Execution attempts made (1 + retries).
     pub attempts: u32,
     /// The result and its windowed timeline (empty unless the core was
@@ -76,23 +81,33 @@ impl<'a> Containment<'a> {
     pub fn run(&self, spec: &JobSpec, heartbeat: &Heartbeat, wm: &mut WorkerMetrics) -> Contained {
         let _job_span = obs::span::enter("job");
         let started = Instant::now();
-        let key = spec.key();
+        let key_cell = OnceCell::new();
+        let key = || *key_cell.get_or_init(|| spec.key());
         if obs::watchdog::active() {
-            heartbeat.start(&key.to_string());
+            heartbeat.start(&key().to_string());
         }
-        if let Some(stall) = self.faults.worker_stall(key) {
-            // Wall-clock latency only: the job's result is untouched,
-            // but the heartbeat above now has something for the
-            // watchdog to catch.
-            obs::debug!("engine: injected_stall key={key} ms={}", stall.as_millis());
-            std::thread::sleep(stall);
+        if self.faults.is_active() {
+            if let Some(stall) = self.faults.worker_stall(key()) {
+                // Wall-clock latency only: the job's result is
+                // untouched, but the heartbeat above now has something
+                // for the watchdog to catch.
+                obs::debug!(
+                    "engine: injected_stall key={} ms={}",
+                    key(),
+                    stall.as_millis()
+                );
+                std::thread::sleep(stall);
+            }
         }
         let mut attempts = 0u32;
         let outcome = loop {
             attempts += 1;
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if self.faults.worker_panic(key, attempts) {
-                    panic!("injected fault: worker panic (job {key}, attempt {attempts})");
+                if self.faults.is_active() && self.faults.worker_panic(key(), attempts) {
+                    panic!(
+                        "injected fault: worker panic (job {}, attempt {attempts})",
+                        key()
+                    );
                 }
                 if self.timeline_windows > 0 {
                     spec.execute_timeline(self.timeline_windows)
@@ -108,7 +123,7 @@ impl<'a> Containment<'a> {
                 Err(_) => {
                     wm.inc("retries");
                     self.m_retries.inc();
-                    obs::debug!("engine: job_retry key={key} attempt={attempts}");
+                    obs::debug!("engine: job_retry key={} attempt={attempts}", key());
                 }
             }
         };
@@ -120,11 +135,7 @@ impl<'a> Containment<'a> {
         let latency_us = started.elapsed().as_secs_f64() * 1e6;
         wm.observe_log("job_latency_us", latency_us);
         self.h_latency.observe(latency_us);
-        Contained {
-            key,
-            attempts,
-            outcome,
-        }
+        Contained { attempts, outcome }
     }
 }
 

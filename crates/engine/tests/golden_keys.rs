@@ -15,9 +15,9 @@
 //! UPDATE_GOLDEN_KEYS=1 cargo test -p engine --test golden_keys
 //! ```
 
-use engine::{JobSpec, WorkloadSpec};
+use engine::{HwSpec, JobSpec, WorkloadSpec};
 use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange, VoltageRule};
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimFidelity};
 use workloads::Benchmark;
 
 /// A fixed grid crossing every workload kind, predictor family member,
@@ -107,6 +107,72 @@ fn golden_grid() -> Vec<JobSpec> {
         ),
         15,
         8,
+    ));
+    // Summary fidelity keys under its own version namespace.
+    specs.push(
+        JobSpec::new(
+            WorkloadSpec::Benchmark(Benchmark::Chess),
+            PolicyDesc::best_from_paper(),
+            10,
+            3,
+        )
+        .with_fidelity(SimFidelity::Summary),
+    );
+    // Fleet-style hardware spread: scaled power, battery at part charge.
+    specs.push(
+        JobSpec::new(
+            WorkloadSpec::Benchmark(Benchmark::TalkingEditor),
+            PolicyDesc::best_from_paper(),
+            10,
+            4,
+        )
+        .with_hw(HwSpec {
+            core_ppm: 1_043_210,
+            base_ppm: 987_654,
+            battery_mwh: 3_460,
+            charge_pct: 73,
+        })
+        .with_fidelity(SimFidelity::Summary),
+    );
+    specs.push(
+        JobSpec::new(
+            WorkloadSpec::SquareWave { busy: 3, idle: 7 },
+            PolicyDesc::interval(
+                PredictorDesc::AvgN(4),
+                Hysteresis::BEST,
+                SpeedChange::Double,
+                SpeedChange::One,
+            ),
+            5,
+            1,
+        )
+        .starting_at(4),
+    );
+    specs.push(JobSpec::new(
+        WorkloadSpec::Benchmark(Benchmark::Web),
+        PolicyDesc::SimpleAvg { window: 12 },
+        15,
+        1,
+    ));
+    specs.push(JobSpec::new(
+        WorkloadSpec::Benchmark(Benchmark::Web),
+        PolicyDesc::interval(
+            PredictorDesc::SlidingWindow(6),
+            Hysteresis::PERING,
+            SpeedChange::Peg,
+            SpeedChange::Double,
+        ),
+        15,
+        1,
+    ));
+    specs.push(JobSpec::new(
+        WorkloadSpec::Benchmark(Benchmark::Mpeg),
+        PolicyDesc::Constant {
+            step: 3,
+            voltage_mv: 1_230,
+        },
+        30,
+        1,
     ));
     specs
 }

@@ -16,6 +16,8 @@
 //!   formatting is lossy and locale/version-dependent, bits are not;
 //! - enum variants use lowercase stable tags, not `Debug` output.
 
+use std::fmt::Write;
+
 use serde::{Deserialize, Serialize};
 
 use itsy_hw::{ClockTable, StepIndex};
@@ -68,17 +70,25 @@ impl PredictorDesc {
 
     /// Stable canonical tag for content addressing.
     pub fn canonical(&self) -> String {
-        match self {
-            PredictorDesc::Past => "past".to_string(),
-            PredictorDesc::AvgN(n) => format!("avg_n:{n}"),
-            PredictorDesc::SlidingWindow(n) => format!("sliding:{n}"),
-            PredictorDesc::Flat(level) => format!("flat:{:016x}", level.to_bits()),
-            PredictorDesc::LongShort => "long_short".to_string(),
-            PredictorDesc::Aged(k) => format!("aged:{:016x}", k.to_bits()),
-            PredictorDesc::Cycle => "cycle".to_string(),
-            PredictorDesc::Pattern => "pattern".to_string(),
-            PredictorDesc::Peak => "peak".to_string(),
-        }
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
+    }
+
+    /// Appends [`canonical`](Self::canonical) to `out`.
+    pub fn write_canonical(&self, out: &mut String) {
+        let written = match self {
+            PredictorDesc::Past => out.write_str("past"),
+            PredictorDesc::AvgN(n) => write!(out, "avg_n:{n}"),
+            PredictorDesc::SlidingWindow(n) => write!(out, "sliding:{n}"),
+            PredictorDesc::Flat(level) => write!(out, "flat:{:016x}", level.to_bits()),
+            PredictorDesc::LongShort => out.write_str("long_short"),
+            PredictorDesc::Aged(k) => write!(out, "aged:{:016x}", k.to_bits()),
+            PredictorDesc::Cycle => out.write_str("cycle"),
+            PredictorDesc::Pattern => out.write_str("pattern"),
+            PredictorDesc::Peak => out.write_str("peak"),
+        };
+        written.expect("writing to a String cannot fail");
     }
 
     /// Human-readable name matching the paper's / Govil's spelling.
@@ -206,9 +216,16 @@ impl PolicyDesc {
 
     /// Stable canonical encoding for content addressing.
     pub fn canonical(&self) -> String {
-        match self {
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
+    }
+
+    /// Appends [`canonical`](Self::canonical) to `out`.
+    pub fn write_canonical(&self, out: &mut String) {
+        let written = match self {
             PolicyDesc::Constant { step, voltage_mv } => {
-                format!("constant;step={step};mv={voltage_mv}")
+                write!(out, "constant;step={step};mv={voltage_mv}")
             }
             PolicyDesc::Interval {
                 predictor,
@@ -216,20 +233,25 @@ impl PolicyDesc {
                 up,
                 down,
                 voltage_rule,
-            } => format!(
-                "interval;pred={};up_th={:016x};down_th={:016x};up={};down={};vrule={}",
-                predictor.canonical(),
-                hysteresis.up.to_bits(),
-                hysteresis.down.to_bits(),
-                up.label(),
-                down.label(),
-                match voltage_rule {
-                    Some(r) => format!("le{}", r.low_at_or_below),
-                    None => "none".to_string(),
-                },
-            ),
-            PolicyDesc::SimpleAvg { window } => format!("simple_avg;window={window}"),
-        }
+            } => {
+                out.push_str("interval;pred=");
+                predictor.write_canonical(out);
+                write!(
+                    out,
+                    ";up_th={:016x};down_th={:016x};up={};down={};vrule=",
+                    hysteresis.up.to_bits(),
+                    hysteresis.down.to_bits(),
+                    up.label(),
+                    down.label(),
+                )
+                .and_then(|()| match voltage_rule {
+                    Some(r) => write!(out, "le{}", r.low_at_or_below),
+                    None => out.write_str("none"),
+                })
+            }
+            PolicyDesc::SimpleAvg { window } => write!(out, "simple_avg;window={window}"),
+        };
+        written.expect("writing to a String cannot fail");
     }
 
     /// Human-readable summary for progress lines and tables.
