@@ -35,11 +35,15 @@
 //! endings became `\r\n` still checks and is still served.
 //!
 //! Writes go through a temp file + rename so a run killed mid-write
-//! never leaves a half-entry that poisons a later `--resume`.
+//! never leaves a half-entry that poisons a later `--resume`. Each
+//! write gets its own temp file (process id plus a process-wide
+//! sequence number): engine workers store concurrently, and two of
+//! them may store one key at once when a batch repeats a spec.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::fault::FaultInjector;
 use crate::job::{JobResult, JobSpec};
@@ -47,6 +51,9 @@ use crate::key::{ContentKey, Fnv64};
 
 /// Format fence for entry files.
 const HEADER: &str = "itsy-dvs engine cache v2";
+
+/// Numbers this process's temp files, so no two writes share one.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// What a cache lookup found.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,7 +210,8 @@ impl ResultCache {
         let path = self.entry_path(key);
         let parent = path.parent().expect("entry path has a shard dir");
         fs::create_dir_all(parent)?;
-        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id()));
         let (spec_line, result_line) = {
             let _span = obs::span::enter("result_encode");
             (
@@ -349,6 +357,32 @@ mod tests {
         cache.store(&spec(1), &result(0.1)).expect("store");
         assert_eq!(cache.load(&spec(1)), Some(result(0.1)));
         assert_eq!(cache.load(&spec(2)), None, "other specs unaffected");
+        assert_eq!(cache.len(), 1);
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_never_tear_an_entry() {
+        // Four threads store and probe one spec 300 times each: every
+        // store must land and every probe must find a whole entry.
+        let cache = temp_cache("concurrent");
+        let (spec, result) = (spec(1), result(0.1));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..300 {
+                        cache.store(&spec, &result).expect("store");
+                        assert_eq!(
+                            cache.probe(&spec, &FaultInjector::inert()),
+                            CacheProbe::Hit(result)
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.quarantined_len(), 0);
         assert_eq!(cache.len(), 1);
         let _ = fs::remove_dir_all(cache.dir());
     }

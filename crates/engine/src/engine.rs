@@ -1,4 +1,4 @@
-//! The batch executor: worker pool + cache + journal + progress.
+//! The batch executor: cache + journal + worker pool + progress.
 //!
 //! [`Engine::run_batch`] takes a named list of [`JobSpec`]s and returns
 //! one outcome per spec, in spec order. Three layers may satisfy a
@@ -8,28 +8,29 @@
 //! 2. the content-addressed cache (unless disabled),
 //! 3. the worker pool, which simulates whatever is left.
 //!
-//! Results land in a slot vector indexed by submission order, so output
-//! is a pure function of the specs — never of worker count or of which
-//! worker finished first. Cache and journal writes happen only on a
-//! dedicated drainer thread fed by a *bounded* channel; workers just
-//! simulate and send. The bound keeps completed-but-unwritten results
-//! from piling up faster than the disk absorbs them, and the dedicated
-//! drainer means collection overlaps submission instead of serializing
-//! behind it (the ROADMAP drain-stage fix).
+//! Layers 1 and 2 run serially on the calling thread before any worker
+//! starts, so a batch served wholly from cache starts none. Layer 3 is
+//! the engine's one pool (`crate::worker`), shared with
+//! [`Engine::run_stream`]: each worker claims the next cell left to
+//! simulate by atomic index, runs it, stores it in the cache, appends
+//! it to the journal (one `Mutex` around the journal file) and sets the
+//! cell's own result slot. Slots are indexed by submission order, so
+//! output is a pure function of the specs — never of worker count or
+//! of which worker finished first.
 //!
 //! # Failure containment
 //!
 //! Each worker runs its cells through the containment core it shares
-//! with [`Engine::run_stream`] (`crate::worker`): a watchdog heartbeat
-//! per cell, then the cell under `catch_unwind`. A panicking job is
-//! retried up to [`EngineConfig::max_retries`] times and — if it
-//! never succeeds — reported as a [`JobFailure`] in its result slot.
-//! One bad cell therefore costs one cell, not the batch: every other
-//! cell completes, is cached and journaled as usual, and the journal
-//! is *kept* (instead of deleted on completion) so `--resume` can
-//! retry just the failures. Worker threads that die outside the
-//! catch-unwind fence are detected at join and their in-flight cell is
-//! reported failed rather than aborting the process.
+//! with [`Engine::run_stream`]: a watchdog heartbeat per cell, then the
+//! cell under `catch_unwind`. A panicking job is retried up to
+//! [`EngineConfig::max_retries`] times and — if it never succeeds —
+//! reported as a [`JobFailure`] in its result slot. One bad cell
+//! therefore costs one cell, not the batch: every other cell completes,
+//! is cached and journaled as usual, and the journal is *kept* (instead
+//! of deleted on completion) so `--resume` can retry just the failures.
+//! A worker thread that dies outside the catch-unwind fence is logged
+//! at join, and the one cell it had in flight — the only slot it left
+//! empty — is reported failed rather than aborting the process.
 //!
 //! All of this is testable on demand: an [`EngineConfig::faults`] plan
 //! injects seeded cache corruption, torn journal writes, worker panics
@@ -38,10 +39,9 @@
 //! is bit-identical to a fault-free run.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
-use crossbeam::channel;
-use crossbeam::deque::{Injector, Steal};
 use obs::{PolicyMetrics, RunMetrics, WorkerMetrics};
 
 use crate::cache::{CacheProbe, ResultCache};
@@ -49,7 +49,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::job::{JobResult, JobSpec};
 use crate::journal::Journal;
 use crate::key::ContentKey;
-use crate::worker::Containment;
+use crate::worker::{Containment, Worker};
 
 /// How a batch should be executed.
 #[derive(Debug, Clone)]
@@ -200,13 +200,13 @@ pub struct BatchOutcome {
     /// Aggregated observability metrics for the batch (also written as
     /// `metrics.json` when [`EngineConfig::write_metrics`] is set).
     pub metrics: RunMetrics,
-    /// Merged per-worker counters and histograms (includes the
-    /// collector's cache-hit service times) — the raw material behind
+    /// Merged per-worker counters and histograms (includes the calling
+    /// thread's cache-hit service times) — the raw material behind
     /// `metrics`, exposed for harnesses that need distributions, not
     /// just percentile summaries.
     pub worker_metrics: WorkerMetrics,
-    /// The batch's wall-clock span profile: one buffer per thread
-    /// (collector first, then workers). Empty unless span profiling
+    /// The batch's wall-clock span profile: one buffer per thread (the
+    /// calling thread first, then workers). Empty unless span profiling
     /// was enabled ([`obs::span::set_enabled`]).
     pub profile: obs::Profile,
 }
@@ -244,11 +244,10 @@ impl BatchOutcome {
 }
 
 /// A batch cell left to simulate, with the content key and canonical
-/// string the collector built for it.
+/// string the up-front probe built for it.
 struct Pending {
     /// Position of the spec in the submitted batch.
     index: usize,
-    spec: JobSpec,
     key: ContentKey,
     canonical: String,
 }
@@ -257,17 +256,6 @@ struct Pending {
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     config: EngineConfig,
-}
-
-/// Best-effort text from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 impl Engine {
@@ -293,11 +281,6 @@ impl Engine {
         }
     }
 
-    /// Directory a batch's metrics artifacts land in.
-    pub(crate) fn metrics_dir(&self, batch: &str) -> PathBuf {
-        self.state_root().join(batch)
-    }
-
     /// Root directory for cache and journal state.
     fn state_root(&self) -> PathBuf {
         self.config.state_root.clone().unwrap_or_else(|| {
@@ -318,28 +301,10 @@ impl Engine {
     /// only the failed cells.
     pub fn run_batch(&self, batch: &str, specs: &[JobSpec]) -> BatchOutcome {
         let started = Instant::now();
-        // Live-telemetry handles (no-ops unless `--metrics-addr` armed
-        // the registry). Shared with `run_stream` where the meaning
-        // lines up: a batch cell is a job.
-        let m_cells = obs::registry::counter(
-            "engine_cells_total",
-            "Batch cells requested, cached or simulated.",
-        );
-        let m_cache_hits = obs::registry::counter(
-            "engine_cache_hits_total",
-            "Batch cells served from the result cache.",
-        );
-        let m_jobs = obs::registry::counter(
-            "engine_jobs_executed_total",
-            "Jobs completed across all workers.",
-        );
-        let m_failed = obs::registry::counter(
-            "engine_jobs_failed_total",
-            "Jobs that exhausted their retry budget.",
-        );
-        m_cells.add(specs.len() as u64);
         let root = self.state_root();
         let faults = FaultInjector::new(self.config.faults);
+        let core = Containment::new(&faults, self.config.max_retries, 0);
+        core.live.cells.add(specs.len() as u64);
         let cache = self
             .config
             .use_cache
@@ -352,15 +317,18 @@ impl Engine {
         } else {
             Default::default()
         };
-        let mut slots: Vec<Option<Result<JobResult, JobFailure>>> = Vec::with_capacity(specs.len());
+        // One slot per spec: hits are set here, every other slot by the
+        // worker that ran its cell.
+        let mut slots: Vec<OnceLock<Result<JobResult, JobFailure>>> =
+            Vec::with_capacity(specs.len());
         // Cells left to simulate. Each cell is encoded and hashed once,
         // here; a pending cell carries its key and canonical string to
-        // the drainer, which stores and journals its result under them.
+        // the worker, which stores and journals its result under them.
         let mut pending: Vec<Pending> = Vec::new();
         let (mut journal_hits, mut cache_hits, mut quarantined) = (0usize, 0usize, 0usize);
-        // Metrics owned by the collector (calling) thread: cache-hit
-        // service times live here because only this thread probes.
-        let mut collector_wm = WorkerMetrics::new();
+        // Metrics owned by the calling thread: cache-hit service times
+        // live here because only this thread probes.
+        let mut caller_wm = WorkerMetrics::new();
         for (index, spec) in specs.iter().enumerate() {
             let (key, canonical) = {
                 let _s = obs::span::enter("content_key");
@@ -382,8 +350,8 @@ impl Engine {
                     match c.probe_keyed(key, &canonical, &faults) {
                         CacheProbe::Hit(r) => {
                             cache_hits += 1;
-                            m_cache_hits.inc();
-                            collector_wm.observe_log(
+                            core.live.cache_hits.inc();
+                            caller_wm.observe_log(
                                 "cache_hit_service_us",
                                 probe_started.elapsed().as_secs_f64() * 1e6,
                             );
@@ -403,19 +371,21 @@ impl Engine {
                 }
                 None => None,
             });
-            if hit.is_none() {
-                pending.push(Pending {
-                    index,
-                    spec: spec.clone(),
-                    key,
-                    canonical,
-                });
-            }
-            slots.push(hit.map(Ok));
+            slots.push(match hit {
+                Some(r) => OnceLock::from(Ok(r)),
+                None => {
+                    pending.push(Pending {
+                        index,
+                        key,
+                        canonical,
+                    });
+                    OnceLock::new()
+                }
+            });
         }
 
-        let mut journal = match Journal::open(&state_dir, batch) {
-            Ok(j) => Some(j),
+        let journal = match Journal::open(&state_dir, batch) {
+            Ok(j) => Some(Mutex::new(j)),
             Err(e) => {
                 obs::warn!("engine: journal disabled for `{batch}`: {e}");
                 None
@@ -424,199 +394,86 @@ impl Engine {
 
         // Layer 3: simulate the rest on the worker pool.
         let workers = self.worker_count().min(pending.len());
-        let mut worker_totals = WorkerMetrics::new();
-        let mut worker_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
-        if !pending.is_empty() {
-            let queue = Injector::new();
-            let to_run = pending.len();
-            for job in pending {
-                queue.push(job);
-            }
-            // Bounded results channel: workers block (briefly) instead
-            // of piling completed results into unbounded memory when
-            // the drainer's disk writes fall behind.
-            let (tx, rx) =
-                channel::bounded::<(Pending, u32, Result<JobResult, String>)>(workers * 4);
-            let progress = self.config.progress;
-            let core = Containment::new(&faults, self.config.max_retries, 0);
-            let scope_outcome = crossbeam::thread::scope(|s| {
-                // Dedicated drainer: the only thread touching disk or
-                // slots, running concurrently with every worker so
-                // collection overlaps simulation.
-                let drainer = {
-                    let cache = &cache;
-                    let faults = &faults;
-                    let mut slots = slots;
-                    let mut journal = journal;
-                    let reused = journal_hits + cache_hits;
-                    s.spawn(move |_| {
-                        let drain_span = obs::span::enter("drain");
-                        let mut done = 0usize;
-                        let mut last_report = Instant::now();
-                        for (cell, attempts, outcome) in rx.iter() {
-                            let (i, key) = (cell.index, cell.key);
-                            match outcome {
-                                Ok(result) => {
-                                    if let Some(cache) = cache {
-                                        let _s = obs::span::enter("cache_write");
-                                        let stored = cache.store_keyed(
-                                            key,
-                                            &cell.canonical,
-                                            &result,
-                                            faults,
-                                        );
-                                        if let Err(e) = stored {
-                                            obs::warn!("engine: cache write failed for {key}: {e}");
-                                        }
-                                    }
-                                    if let Some(j) = &mut journal {
-                                        let _s = obs::span::enter("journal_append");
-                                        if let Err(e) = j.record_with(key, &result, faults) {
-                                            obs::warn!("engine: journal write failed: {e}");
-                                        }
-                                    }
-                                    slots[i] = Some(Ok(result));
-                                    m_jobs.inc();
-                                }
-                                Err(message) => {
-                                    m_failed.inc();
-                                    let failure = JobFailure {
-                                        index: i,
-                                        key,
-                                        label: cell.spec.label(),
-                                        attempts,
-                                        message,
-                                    };
-                                    obs::error!("engine: {failure}");
-                                    slots[i] = Some(Err(failure));
-                                }
-                            }
-                            done += 1;
-                            if progress
-                                && (done == to_run
-                                    || last_report.elapsed() >= Duration::from_millis(500))
-                            {
-                                last_report = Instant::now();
-                                let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                                let eta = (to_run - done) as f64 / rate.max(1e-9);
-                                obs::info!(
-                                    "[{batch}] {done}/{to_run} simulated \
-                                     ({reused} reused) — {rate:.1} cells/s, ETA {eta:.0}s",
-                                );
-                            }
-                        }
-                        drop(drain_span);
-                        (slots, journal, obs::span::drain())
-                    })
-                };
-
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let core = &core;
-                    // Each worker owns its metrics and span buffer and
-                    // hands them back through the join handle — no
-                    // shared mutation, so the aggregate is independent
-                    // of scheduling.
-                    handles.push(s.spawn(move |_| {
-                        let heartbeat = obs::watchdog::register(w);
-                        let mut wm = WorkerMetrics::new();
-                        loop {
-                            match queue.steal() {
-                                Steal::Success(cell) => {
-                                    let job = core.run(&cell.spec, &heartbeat, &mut wm);
-                                    let attempts = job.attempts;
-                                    let outcome = job.outcome.map(|(result, _)| result);
-                                    let status = if outcome.is_ok() { "done" } else { "fail" };
-                                    obs::debug!(
-                                        "engine: job_{status} key={} attempts={attempts}",
-                                        cell.key
-                                    );
-                                    if tx.send((cell, attempts, outcome)).is_err() {
-                                        break;
-                                    }
-                                }
-                                Steal::Empty => break,
-                                Steal::Retry => continue,
-                            }
-                        }
-                        heartbeat.idle();
-                        (wm, obs::span::drain())
-                    }));
-                }
-                drop(tx);
-
-                // Per-worker error status: a worker that died outside
-                // the catch-unwind fence (an engine bug, not a job
-                // panic) is reported instead of aborting the process.
-                // Survivors hand back their metrics and span buffers
-                // for merging.
-                let mut dead_workers = 0usize;
-                let mut merged = WorkerMetrics::new();
-                let mut thread_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
-                for (w, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok((wm, spans)) => {
-                            merged.merge_from(&wm);
-                            if !spans.is_empty() {
-                                thread_spans.push((format!("worker-{w}"), spans));
-                            }
-                        }
-                        Err(payload) => {
-                            dead_workers += 1;
-                            obs::error!(
-                                "engine: worker thread died: {}",
-                                panic_message(payload.as_ref())
-                            );
+        let (to_run, reused) = (pending.len(), journal_hits + cache_hits);
+        let report = |done: u64| {
+            let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+            let eta = (to_run as u64 - done) as f64 / rate.max(1e-9);
+            obs::info!(
+                "[{batch}] {done}/{to_run} simulated \
+                 ({reused} reused) — {rate:.1} cells/s, ETA {eta:.0}s",
+            );
+        };
+        let progress = self
+            .config
+            .progress
+            .then_some(&report as &(dyn Fn(u64) + Sync));
+        let pooled = core.pool(workers, to_run as u64, progress, |w: &mut Worker<()>, i| {
+            let cell = &pending[i as usize];
+            let spec = &specs[cell.index];
+            let job = w.run(spec);
+            let attempts = job.attempts;
+            let outcome = match job.outcome {
+                Ok((result, _)) => {
+                    if let Some(cache) = &cache {
+                        let _s = obs::span::enter("cache_write");
+                        let stored = cache.store_keyed(cell.key, &cell.canonical, &result, &faults);
+                        if let Err(e) = stored {
+                            obs::warn!("engine: cache write failed for {}: {e}", cell.key);
                         }
                     }
-                }
-
-                // Every worker (and the original tx) is gone, so the
-                // results channel is disconnected and the drainer's
-                // receive loop has terminated.
-                let (slots, journal, drainer_spans) =
-                    drainer.join().expect("drainer thread must not panic");
-                if !drainer_spans.is_empty() {
-                    thread_spans.insert(0, ("drainer".to_string(), drainer_spans));
-                }
-                (slots, journal, dead_workers, merged, thread_spans)
-            });
-            // The vendored scope only errors by propagating a panic
-            // from an unjoined thread; every thread above is joined,
-            // so this arm is unreachable — resume rather than invent
-            // a recovery that can't be exercised.
-            let (s, j, dead_workers, merged, spans) =
-                scope_outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            slots = s;
-            journal = j;
-            worker_totals = merged;
-            worker_spans = spans;
-            // A dead worker's in-flight cell never reported; fail any
-            // still-empty slot rather than pretending it ran.
-            if dead_workers > 0 {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        *slot = Some(Err(JobFailure {
-                            index: i,
-                            key: specs[i].key(),
-                            label: specs[i].label(),
-                            attempts: 0,
-                            message: "worker thread died before completing this job".to_string(),
-                        }));
+                    if let Some(journal) = &journal {
+                        let _s = obs::span::enter("journal_append");
+                        // A holder that panicked mid-append left at most
+                        // a torn line, which replay skips by its CRC.
+                        let mut j = journal.lock().unwrap_or_else(PoisonError::into_inner);
+                        if let Err(e) = j.record_with(cell.key, &result, &faults) {
+                            obs::warn!("engine: journal write failed: {e}");
+                        }
                     }
+                    Ok(result)
                 }
+                Err(message) => {
+                    let failure = JobFailure {
+                        index: cell.index,
+                        key: cell.key,
+                        label: spec.label(),
+                        attempts,
+                        message,
+                    };
+                    obs::error!("engine: {failure}");
+                    Err(failure)
+                }
+            };
+            let status = if outcome.is_ok() { "done" } else { "fail" };
+            obs::debug!("engine: job_{status} key={} attempts={attempts}", cell.key);
+            let _ = slots[cell.index].set(outcome);
+        });
+        if to_run > 0 {
+            if let Some(report) = progress {
+                report(to_run as u64);
             }
         }
 
+        // A slot still empty belonged to a worker that died outside the
+        // catch-unwind fence; fail it rather than pretend it ran.
         let results: Vec<Result<JobResult, JobFailure>> = slots
             .into_iter()
-            .map(|s| s.expect("every slot filled"))
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.into_inner().unwrap_or_else(|| {
+                    Err(JobFailure {
+                        index: i,
+                        key: specs[i].key(),
+                        label: specs[i].label(),
+                        attempts: 0,
+                        message: "worker thread died before completing this job".to_string(),
+                    })
+                })
+            })
             .collect();
         let failed = results.iter().filter(|r| r.is_err()).count();
 
-        if let Some(j) = journal.take() {
+        if let Some(j) = journal.map(|j| j.into_inner().unwrap_or_else(PoisonError::into_inner)) {
             if failed == 0 {
                 if let Err(e) = j.finish() {
                     obs::warn!("engine: could not clear journal for `{batch}`: {e}");
@@ -670,40 +527,10 @@ impl Engine {
             }
         }
 
-        // Assemble the batch profile: collector thread first (probe,
-        // drain, cache/journal writes), then workers in index order.
-        // Draining the collector here also scoops up any spans the
-        // calling driver closed before run_batch — its stages appear
-        // alongside the engine's.
-        let mut profile = obs::Profile::default();
-        let collector_spans = obs::span::drain();
-        if !collector_spans.is_empty() {
-            profile
-                .threads
-                .push(("collector".to_string(), collector_spans));
-        }
-        profile.threads.extend(worker_spans);
-
-        worker_totals.merge_from(&collector_wm);
-        let metrics = self.build_metrics(batch, specs, &results, &stats, &worker_totals, &profile);
-        if self.config.write_metrics {
-            let dir = root.join(batch);
-            let write = std::fs::create_dir_all(&dir)
-                .and_then(|()| std::fs::write(dir.join("metrics.json"), metrics.to_json()));
-            if let Err(e) = write {
-                obs::warn!("engine: could not write metrics.json for `{batch}`: {e}");
-            }
-            // The flame chart is wall-clock and profile-gated, so it
-            // only exists when spans were actually collected — the
-            // deterministic artifacts CI byte-diffs are untouched.
-            if !profile.is_empty() {
-                let json = obs::export_spans_chrome_json(&profile);
-                if let Err(e) = std::fs::write(dir.join("profile.trace.json"), json) {
-                    obs::warn!("engine: could not write profile.trace.json for `{batch}`: {e}");
-                }
-            }
-        }
-
+        let mut worker_totals = pooled.metrics;
+        worker_totals.merge_from(&caller_wm);
+        let metrics = self.build_metrics(batch, specs, &results, &stats, &worker_totals);
+        let (metrics, profile) = self.finish_run(batch, metrics, &worker_totals, pooled.spans);
         BatchOutcome {
             results,
             stats,
@@ -725,7 +552,6 @@ impl Engine {
         results: &[Result<JobResult, JobFailure>],
         stats: &BatchStats,
         worker_totals: &WorkerMetrics,
-        profile: &obs::Profile,
     ) -> RunMetrics {
         let mut sched_dropped = 0u64;
         let mut clock_switches = 0u64;
@@ -747,7 +573,7 @@ impl Engine {
             entry.clock_switches += r.clock_switches;
             entry.voltage_switches += r.voltage_switches;
         }
-        let mut metrics = RunMetrics {
+        RunMetrics {
             batch: batch.to_string(),
             total: stats.total as u64,
             executed: stats.executed as u64,
@@ -765,8 +591,31 @@ impl Engine {
             peak_rss_bytes: obs::peak_rss_bytes().unwrap_or(0),
             per_policy: per_policy.into_values().collect(),
             ..Default::default()
-        };
-        metrics.set_job_latencies(worker_totals.log_histogram("job_latency_us"));
+        }
+    }
+
+    /// The tail every run shares. Assembles the run's span profile —
+    /// the calling thread first (draining it also scoops up any stages
+    /// its experiment closed before the run), then `worker_spans` — folds
+    /// the job latencies in `totals` and the profile's stages into
+    /// `metrics`, finalizes it, and writes `metrics.json` (plus
+    /// `profile.trace.json` when spans were collected) under
+    /// `<state_root>/<batch>/` if the config asks for it.
+    pub(crate) fn finish_run(
+        &self,
+        batch: &str,
+        mut metrics: RunMetrics,
+        totals: &WorkerMetrics,
+        worker_spans: Vec<(String, obs::ThreadSpans)>,
+    ) -> (RunMetrics, obs::Profile) {
+        let mut profile = obs::Profile::default();
+        let caller_spans = obs::span::drain();
+        if !caller_spans.is_empty() {
+            profile.threads.push(("caller".to_string(), caller_spans));
+        }
+        profile.threads.extend(worker_spans);
+
+        metrics.set_job_latencies(totals.log_histogram("job_latency_us"));
         if !profile.is_empty() {
             let tree = profile.tree();
             metrics.set_stages(
@@ -776,7 +625,25 @@ impl Engine {
             );
         }
         metrics.finalize();
-        metrics
+
+        if self.config.write_metrics {
+            let dir = self.state_root().join(batch);
+            let write = std::fs::create_dir_all(&dir)
+                .and_then(|()| std::fs::write(dir.join("metrics.json"), metrics.to_json()));
+            if let Err(e) = write {
+                obs::warn!("engine: could not write metrics.json for `{batch}`: {e}");
+            }
+            // The flame chart is wall-clock and profile-gated, so it
+            // only exists when spans were actually collected — the
+            // deterministic artifacts CI byte-diffs are untouched.
+            if !profile.is_empty() {
+                let json = obs::export_spans_chrome_json(&profile);
+                if let Err(e) = std::fs::write(dir.join("profile.trace.json"), json) {
+                    obs::warn!("engine: could not write profile.trace.json for `{batch}`: {e}");
+                }
+            }
+        }
+        (metrics, profile)
     }
 }
 
@@ -784,7 +651,9 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::job::WorkloadSpec;
+    use crate::worker::panic_message;
     use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange};
+    use std::time::Duration;
     use workloads::Benchmark;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -827,6 +696,29 @@ mod tests {
         assert_eq!(serial.results, parallel.results);
         assert_eq!(serial.stats.executed, specs.len());
         assert_eq!(parallel.stats.workers, specs.len().min(8));
+
+        // Cache on, every spec twice: both copies miss the up-front
+        // probe, so at 8 workers two of them store one key at once.
+        let repeated: Vec<JobSpec> = specs.iter().chain(&specs).cloned().collect();
+        let root = temp_root("agree");
+        let mut cold_runs = Vec::new();
+        for jobs in [1, 8] {
+            let config = EngineConfig {
+                jobs,
+                use_cache: true,
+                state_root: Some(root.join(jobs.to_string())),
+                ..EngineConfig::hermetic()
+            };
+            let cold = Engine::new(config.clone()).run_batch("t", &repeated);
+            assert!(cold.results.iter().all(Result::is_ok), "jobs={jobs}");
+            let warm = Engine::new(config).run_batch("t", &repeated);
+            assert_eq!(warm.stats.quarantined, 0, "jobs={jobs}");
+            assert_eq!(warm.results, cold.results, "jobs={jobs}");
+            cold_runs.push(cold.results);
+        }
+        assert_eq!(cold_runs[0], cold_runs[1]);
+        assert_eq!(cold_runs[0][..specs.len()], serial.results[..]);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -946,36 +838,41 @@ mod tests {
     fn partial_failure_keeps_journal_for_resume() {
         // One seeded fault plan fails some cells; the journal must
         // survive with the successes so a --resume run retries only
-        // the failures and converges to the clean result.
-        let root = temp_root("partial");
+        // the failures and converges to the clean result. At 4 jobs
+        // several workers append to the journal.
         let specs = grid();
         let clean = Engine::new(EngineConfig::hermetic()).run_batch("t", &specs);
+        for jobs in [1, 4] {
+            let root = temp_root(&format!("partial-{jobs}"));
 
-        // Panic probability 1 but only for the first attempt, with no
-        // retry budget: every executed cell fails this round.
-        let first = Engine::new(EngineConfig {
-            max_retries: 0,
-            state_root: Some(root.clone()),
-            faults: Some(FaultPlan {
-                panic: 1.0,
-                max_panics: 1,
-                ..FaultPlan::default()
-            }),
-            ..EngineConfig::hermetic()
-        })
-        .run_batch("t", &specs);
-        assert!(first.stats.failed == specs.len());
+            // Panic probability 1 but only for the first attempt, with no
+            // retry budget: every executed cell fails this round.
+            let first = Engine::new(EngineConfig {
+                jobs,
+                max_retries: 0,
+                state_root: Some(root.clone()),
+                faults: Some(FaultPlan {
+                    panic: 1.0,
+                    max_panics: 1,
+                    ..FaultPlan::default()
+                }),
+                ..EngineConfig::hermetic()
+            })
+            .run_batch("t", &specs);
+            assert!(first.stats.failed == specs.len());
 
-        // Resume with a clean engine: failures re-run and succeed.
-        let resumed = Engine::new(EngineConfig {
-            resume: true,
-            state_root: Some(root.clone()),
-            ..EngineConfig::hermetic()
-        })
-        .run_batch("t", &specs);
-        assert_eq!(resumed.stats.failed, 0);
-        assert_eq!(resumed.results, clean.results);
-        let _ = std::fs::remove_dir_all(&root);
+            // Resume with a clean engine: failures re-run and succeed.
+            let resumed = Engine::new(EngineConfig {
+                jobs,
+                resume: true,
+                state_root: Some(root.clone()),
+                ..EngineConfig::hermetic()
+            })
+            .run_batch("t", &specs);
+            assert_eq!(resumed.stats.failed, 0);
+            assert_eq!(resumed.results, clean.results);
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

@@ -218,8 +218,9 @@ enum Site {
 
 /// The per-batch decision maker built from a [`FaultPlan`].
 ///
-/// Shared by reference between the collector thread (cache/journal
-/// sites) and the workers (panic site); all interior state is behind
+/// Shared by reference between the calling thread (cache-read sites)
+/// and the workers (panic, stall, cache-write and journal sites); all
+/// interior state is behind
 /// mutexes. An injector built from `None` (or an inert plan) never
 /// fires and never locks.
 #[derive(Debug, Default)]

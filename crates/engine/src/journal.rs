@@ -9,10 +9,10 @@
 //! <key-hex> <crc-hex> <JobResult::encode() output>
 //! ```
 //!
-//! where `crc` is FNV-1a 64 over `"<key-hex> <payload>"`. Lines are
-//! appended as jobs finish (single writer: the collector thread), so a
-//! killed run leaves a valid prefix; the CRC is what makes that safe
-//! to rely on. A torn final write — or a record merged with a torn
+//! where `crc` is FNV-1a 64 over `"<key-hex> <payload>"`. Each worker
+//! appends its own jobs as they finish, through one mutex around the
+//! journal, so lines never interleave and a killed run leaves a valid
+//! prefix; the CRC is what makes that safe to rely on. A torn final write — or a record merged with a torn
 //! predecessor after the process was killed mid-`write(2)` — fails its
 //! CRC and is *skipped* on replay rather than misparsed into a wrong
 //! result; the affected cells are simply recomputed.

@@ -3,8 +3,9 @@
 //! [`Engine::run_batch`] materializes its results — one slot per spec —
 //! which is right for grids of hundreds of cells and fatal for
 //! populations of millions of devices. [`Engine::run_stream`] is the
-//! other regime: a device is a pure function of its index, so each
-//! worker claims the next index from a shared atomic counter, builds
+//! other regime: a device is a pure function of its index, so the
+//! engine's one worker pool (`crate::worker`) hands each worker the
+//! next device index from a shared atomic counter, the worker builds
 //! that device's spec itself, and folds the result into its own
 //! accumulator the moment it exists. Nothing crosses between threads
 //! per device but one `fetch_add`; the shards merge when the workers
@@ -35,24 +36,20 @@
 //! retries), with failed devices counted (and a bounded sample of
 //! reports retained) rather than accumulated.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use kernel_sim::WindowSample;
 use obs::{RunMetrics, WorkerMetrics};
 
-use crate::engine::{panic_message, Engine, JobFailure};
+use crate::engine::{Engine, JobFailure};
 use crate::fault::{FaultInjector, FaultStats};
 use crate::job::{JobResult, JobSpec};
-use crate::worker::Containment;
+use crate::worker::{Containment, Worker};
 
 /// Failure reports retained verbatim; anything beyond is counted in
 /// [`StreamStats::failed`] but not stored (a fully-failing million-
 /// device run must not build a million-entry failure list).
 const MAX_RETAINED_FAILURES: usize = 32;
-
-/// Minimum wall-clock gap between progress lines.
-const REPORT_EVERY: Duration = Duration::from_millis(500);
 
 /// What a streaming run processed and what it cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +102,8 @@ pub struct StreamOutcome<A> {
     pub profile: obs::Profile,
 }
 
-/// What one worker hands back at join.
+/// One worker's share of the stream, handed back at join.
+#[derive(Default)]
 struct Shard<A> {
     acc: A,
     executed: u64,
@@ -114,8 +112,6 @@ struct Shard<A> {
     /// increasing order, so these are its lowest-indexed ones, and the
     /// union over workers holds the stream's lowest.
     failures: Vec<JobFailure>,
-    wm: WorkerMetrics,
-    spans: obs::ThreadSpans,
 }
 
 impl Engine {
@@ -152,68 +148,34 @@ impl Engine {
             self.config().max_retries,
             self.config().timeline_windows,
         );
+        let live = &core.live;
         let workers = self.worker_count().max(1);
-        let progress = self.config().progress;
+        live.devices_remaining.set(devices as i64);
 
-        // Live-telemetry handles, resolved once so the hot paths below
-        // touch only atomics (no-ops while the metrics plane is off).
-        let m_jobs = obs::registry::counter(
-            "engine_jobs_executed_total",
-            "Jobs (fleet: devices) simulated to completion.",
-        );
-        let m_failed = obs::registry::counter(
-            "engine_jobs_failed_total",
-            "Jobs that exhausted their retry budget.",
-        );
-        let m_dropped = obs::registry::counter(
-            "engine_failures_dropped_total",
-            "Failure reports dropped by bounded retention (still counted as failed).",
-        );
-        let g_remaining = obs::registry::gauge(
-            "engine_stream_devices_remaining",
-            "Stream devices not yet claimed by a worker.",
-        );
-        g_remaining.set(devices as i64);
-
-        // The whole hand-off between threads: the next unclaimed index,
-        // and a completion count for progress lines. Relaxed suffices
-        // for both — neither publishes other data; each worker's results
-        // reach this thread through its join.
-        let next = AtomicU64::new(0);
-        let completed = AtomicU64::new(0);
-        let worker = |w: usize| {
-            let heartbeat = obs::watchdog::register(w);
-            let w_jobs = obs::registry::counter(
-                &format!("engine_worker_jobs_total{{worker=\"{w}\"}}"),
-                "Jobs completed, by worker.",
-            );
-            let mut shard = Shard {
-                acc: A::default(),
-                executed: 0,
-                failed: 0,
-                failures: Vec::new(),
-                wm: WorkerMetrics::new(),
-                spans: obs::ThreadSpans::default(),
-            };
-            let mut last_report = Instant::now();
-            loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= devices {
-                    break;
-                }
-                g_remaining.dec();
+        let report = |done: u64| {
+            let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+            obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
+        };
+        let progress = self
+            .config()
+            .progress
+            .then_some(&report as &(dyn Fn(u64) + Sync));
+        let pooled = core.pool(
+            workers,
+            devices,
+            progress,
+            |w: &mut Worker<Shard<A>>, index| {
+                live.devices_remaining.dec();
                 let spec = spec_for(index);
-                let job = core.run(&spec, &heartbeat, &mut shard.wm);
+                let job = w.run(&spec);
+                let shard = &mut w.state;
                 match job.outcome {
                     Ok((result, timeline)) => {
                         fold(&mut shard.acc, index, &spec, &result, &timeline);
                         shard.executed += 1;
-                        m_jobs.inc();
-                        w_jobs.inc();
                     }
                     Err(message) => {
                         shard.failed += 1;
-                        m_failed.inc();
                         let failure = JobFailure {
                             index: index as usize,
                             key: spec.key(),
@@ -225,65 +187,29 @@ impl Engine {
                         if shard.failures.len() < MAX_RETAINED_FAILURES {
                             shard.failures.push(failure);
                         } else {
-                            m_dropped.inc();
+                            live.failures_dropped.inc();
                         }
                     }
                 }
-                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                // Worker 0 speaks for the pool, from the shared count.
-                if progress && w == 0 && last_report.elapsed() >= REPORT_EVERY {
-                    last_report = Instant::now();
-                    let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                    obs::info!("[{batch}] {done} devices streamed — {rate:.0} devices/s");
-                }
-            }
-            heartbeat.idle();
-            shard.spans = obs::span::drain();
-            shard
-        };
-
-        let joined: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let worker = &worker;
-                    s.spawn(move || worker(w))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
+            },
+        );
 
         let mut acc = A::default();
-        let (mut executed, mut failed, mut dead_workers) = (0u64, 0u64, 0usize);
+        let (mut executed, mut failed) = (0u64, 0u64);
         let mut failures = Vec::new();
-        let mut worker_totals = WorkerMetrics::new();
-        let mut thread_spans: Vec<(String, obs::ThreadSpans)> = Vec::new();
-        for (w, joined) in joined.into_iter().enumerate() {
-            match joined {
-                Ok(shard) => {
-                    merge(&mut acc, shard.acc);
-                    executed += shard.executed;
-                    failed += shard.failed;
-                    failures.extend(shard.failures);
-                    worker_totals.merge_from(&shard.wm);
-                    if !shard.spans.is_empty() {
-                        thread_spans.push((format!("worker-{w}"), shard.spans));
-                    }
-                }
-                Err(payload) => {
-                    dead_workers += 1;
-                    obs::error!(
-                        "engine: stream worker died: {}",
-                        panic_message(payload.as_ref())
-                    );
-                }
-            }
+        for shard in pooled.states {
+            merge(&mut acc, shard.acc);
+            executed += shard.executed;
+            failed += shard.failed;
+            failures.extend(shard.failures);
         }
         // Workers counted their own overflow as dropped live; the merge
         // drops the rest.
         let kept_by_workers = failures.len();
         failures.sort_by_key(|f| f.index);
         failures.truncate(MAX_RETAINED_FAILURES);
-        m_dropped.add((kept_by_workers - failures.len()) as u64);
+        live.failures_dropped
+            .add((kept_by_workers - failures.len()) as u64);
         let failures_dropped = failed - failures.len() as u64;
 
         let stats = StreamStats {
@@ -291,10 +217,10 @@ impl Engine {
             executed,
             failed,
             workers,
-            dead_workers,
+            dead_workers: pooled.dead,
             elapsed_us: started.elapsed().as_micros() as u64,
         };
-        if progress {
+        if self.config().progress {
             obs::info!(
                 "[{batch}] stream done: {} devices in {:.1}s on {} worker(s) — \
                  {:.0} devices/s, {} failed",
@@ -306,61 +232,27 @@ impl Engine {
             );
         }
 
-        // Profile: scoop the calling thread's spans too (the driver's
-        // own stages), then the stream's threads.
-        let mut profile = obs::Profile::default();
-        let caller_spans = obs::span::drain();
-        if !caller_spans.is_empty() {
-            profile.threads.push(("caller".to_string(), caller_spans));
-        }
-        profile.threads.extend(thread_spans);
-
-        let mut metrics = RunMetrics {
+        let metrics = RunMetrics {
             batch: batch.to_string(),
             total: stats.total,
             executed: stats.executed,
             failed: stats.failed,
             failures_dropped,
-            retries: worker_totals.counter("retries"),
+            retries: pooled.metrics.counter("retries"),
             workers: stats.workers as u64,
             wall_us: stats.elapsed_us,
-            sim_us: worker_totals.counter("sim_us"),
+            sim_us: pooled.metrics.counter("sim_us"),
             peak_rss_bytes: obs::peak_rss_bytes().unwrap_or(0),
             ..Default::default()
         };
-        metrics.set_job_latencies(worker_totals.log_histogram("job_latency_us"));
-        if !profile.is_empty() {
-            let tree = profile.tree();
-            metrics.set_stages(
-                tree.stage_self_totals()
-                    .iter()
-                    .map(|(name, &ns)| (name.as_str(), ns)),
-            );
-        }
-        metrics.finalize();
-
-        if self.config().write_metrics {
-            let dir = self.metrics_dir(batch);
-            let write = std::fs::create_dir_all(&dir)
-                .and_then(|()| std::fs::write(dir.join("metrics.json"), metrics.to_json()));
-            if let Err(e) = write {
-                obs::warn!("engine: could not write metrics.json for `{batch}`: {e}");
-            }
-            if !profile.is_empty() {
-                let json = obs::export_spans_chrome_json(&profile);
-                if let Err(e) = std::fs::write(dir.join("profile.trace.json"), json) {
-                    obs::warn!("engine: could not write profile.trace.json for `{batch}`: {e}");
-                }
-            }
-        }
-
+        let (metrics, profile) = self.finish_run(batch, metrics, &pooled.metrics, pooled.spans);
         StreamOutcome {
             acc,
             stats,
             failures,
             faults: faults.stats(),
             metrics,
-            worker_metrics: worker_totals,
+            worker_metrics: pooled.metrics,
             profile,
         }
     }
@@ -374,6 +266,7 @@ mod tests {
     use crate::job::WorkloadSpec;
     use policies::PolicyDesc;
     use sim_core::FleetSummary;
+    use std::time::Duration;
     use workloads::Benchmark;
 
     /// Device `i` of a stream of distinct half-second jobs.

@@ -2,7 +2,7 @@
 //!
 //! The engine's worker pool is share-nothing: each worker owns a
 //! [`WorkerMetrics`], bumps it locally with no synchronization, and
-//! hands it back through its join handle. The collector folds them with
+//! hands it back through its join handle. The calling thread folds them with
 //! [`WorkerMetrics::merge`] — addition is associative and commutative,
 //! so the aggregate is independent of worker count and join order, the
 //! same property the result cache relies on.
@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use sim_core::{Histogram, LogHistogram};
 
-/// Metrics owned by one worker thread (or the collector).
+/// Metrics owned by one worker thread (or the calling thread).
 #[derive(Debug, Clone, Default)]
 pub struct WorkerMetrics {
     counters: BTreeMap<&'static str, u64>,

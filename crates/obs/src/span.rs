@@ -25,7 +25,7 @@
 //!
 //! Records carry an interned *path id* (the stack of span names at
 //! enter), so the merged output is a tree keyed by call path, not a
-//! flat list: `job → simulate`, `drain → cache_write → result_encode`.
+//! flat list: `job → simulate`, `cache_write → result_encode`.
 //!
 //! Wall-clock spans are **never** part of a deterministic artifact:
 //! trace exports embed them only behind `repro --profile`, and
@@ -278,7 +278,7 @@ pub fn in_flight() -> usize {
 }
 
 /// A batch's merged profile: one drained buffer per participating
-/// thread, labelled for display (`collector`, `worker-0`, …).
+/// thread, labelled for display (`caller`, `worker-0`, …).
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// `(label, spans)` per thread, in deterministic label order as
