@@ -254,6 +254,7 @@ mod tests {
     #[test]
     fn nobody_misses_deadlines() {
         let e = exp();
+        assert_eq!(e.rows.len(), 3, "constant, heuristic and governor rows");
         for r in &e.rows {
             assert_eq!(r.misses, 0, "{} missed", r.policy);
         }

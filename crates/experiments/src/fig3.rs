@@ -180,6 +180,7 @@ mod tests {
     #[test]
     fn display_renders_all_rows() {
         let fig = run(7);
+        assert_eq!(fig.series.len(), 4, "one trace per application");
         let text = format!("{fig}");
         for b in Benchmark::ALL {
             assert!(text.contains(b.name()), "missing {}", b.name());

@@ -81,6 +81,7 @@ mod tests {
     fn curve_shape_matches_figure() {
         let fig = run(3);
         let vals = fig.spectrum.values();
+        assert!(vals.len() > 100, "{} spectrum points", vals.len());
         // Monotone decreasing, strictly positive everywhere.
         for w in vals.windows(2) {
             assert!(w[1] < w[0]);

@@ -239,6 +239,7 @@ mod tests {
     #[test]
     fn ordering_matches_the_paper() {
         let t = table();
+        assert_eq!(t.rows.len(), 5, "the paper's five configurations");
         let e: Vec<f64> = (0..5).map(|i| t.mean(i)).collect();
         // 132.7/1.23 < 132.7/1.5 < PAST variants < 206.4/1.5.
         assert!(e[2] < e[1], "voltage drop must save energy: {e:?}");

@@ -6,14 +6,25 @@
 //! boundaries are timer ticks, work completions, spin expirations and
 //! stall expirations. Power is integrated per segment; the power trace
 //! is a step function with one sample per power change.
+//!
+//! One batched loop runs a simulation: a *uniform span* of whole,
+//! provably alike quanta runs in one flat per-quantum loop and commits
+//! in closed form; everything else advances one segment and its timer
+//! tick at a time. That segment step alone is the reference loop
+//! ([`KernelConfig::reference`]) the differential suite holds the
+//! batched loop to. Fidelity is a sink, not a loop: both report every
+//! segment, tick and span to the one sink a run picks.
 
 use std::collections::VecDeque;
 
-use sim_core::{Power, SimDuration, SimFidelity, SimTime, TimeSeries};
+use obs::Trace;
+use sim_core::{Energy, Frequency, Power, SimDuration, SimFidelity, SimTime, TimeSeries};
 
 use itsy_hw::clock::V_HIGH;
-use itsy_hw::{CorePowerCache, CpuMode, RunTotals, SpanEnergy, StepIndex, Work};
-use policies::ClockPolicy;
+use itsy_hw::{
+    CorePowerCache, CpuMode, MemoryTiming, RunTotals, SpanEnergy, StepIndex, Work, WorkProgress,
+};
+use policies::{ClockPolicy, PolicyRequest};
 
 use crate::log::{DeadlineLog, SchedLog};
 use crate::machine::Machine;
@@ -55,26 +66,28 @@ pub struct KernelConfig {
     /// limit); `None` keeps everything. Ignored when `log_sched` is
     /// off — a disabled log drops nothing.
     pub sched_log_capacity: Option<usize>,
-    /// Run the original tick-by-tick loop instead of the batched
-    /// uniform-span fast path. The two are bit-identical (the
-    /// differential suite proves it); the reference loop exists as the
-    /// oracle for that proof and for debugging. Tracing implies the
-    /// reference path regardless of this flag: per-tick events make
-    /// every tick observable, so there is nothing to batch.
+    /// Turn uniform-span batching off and advance one segment and one
+    /// timer tick at a time: the reference loop, kept as the oracle the
+    /// differential suite proves the batched loop against and for
+    /// debugging. At Full fidelity the two are bit-identical; at
+    /// Summary every integer observable is, and energy, summed per span
+    /// rather than per segment, agrees within the bound in DESIGN.md §9.
+    /// Tracing implies the reference loop regardless of this flag:
+    /// per-tick events make every tick observable, so there is nothing
+    /// to batch.
     pub reference: bool,
-    /// What the run must materialize. [`SimFidelity::Full`] (the
-    /// default) records per-tick series, the scheduler log and the
-    /// power trace exactly as always. [`SimFidelity::Summary`] skips
-    /// all per-tick emission: uniform spans commit in O(1) per span,
-    /// means come from exact integer accumulators
-    /// ([`KernelReport::ticks`] and friends), and energy flows through
-    /// a compensated [`SpanEnergy`] accumulator. Integer accounting,
-    /// policy decision sequences, deadline outcomes and final battery
-    /// state stay bit-identical to a Full run (the differential suite
-    /// proves it); only series-derived floats differ, within the bound
-    /// documented in DESIGN.md §9. Orthogonal to
-    /// [`KernelConfig::reference`]: a Summary+reference run ticks
-    /// through the oracle loop while still skipping emission.
+    /// Where the run's output goes; both loops report to the sink this
+    /// picks. [`SimFidelity::Full`] (the default) records per-tick
+    /// series, the scheduler log and the power trace.
+    /// [`SimFidelity::Summary`] records none of them: means come from
+    /// exact integer accumulators ([`KernelReport::ticks`] and
+    /// friends), energy flows through a compensated [`SpanEnergy`]
+    /// term per segment or span, and a span that needs no per-tick work
+    /// commits in O(1). Integer accounting, policy decision sequences,
+    /// deadline outcomes and final battery state stay bit-identical to
+    /// a Full run (the differential suite proves it); only
+    /// series-derived floats differ, within the bound documented in
+    /// DESIGN.md §9. Orthogonal to [`KernelConfig::reference`].
     pub fidelity: SimFidelity,
     /// Number of equal sim-time windows to fold the run's trajectory
     /// into ([`KernelReport::timeline`]): per-window energy and busy
@@ -123,37 +136,38 @@ impl TimelineAcc {
         }
     }
 
-    /// Attributes `watts` drawn over `[a_us, b_us)` to the windows it
-    /// crosses. Time past the nominal duration (a trailing stall) folds
+    /// Splits `[a_us, b_us)` at window boundaries into `(window, µs)`
+    /// pieces. Time past the nominal duration (a trailing stall) folds
     /// into the last window.
-    fn energy(&mut self, a_us: u64, b_us: u64, watts: f64) {
-        let (win, n) = (self.win_us, self.energy_j.len());
+    fn pieces(&self, a_us: u64, b_us: u64) -> impl Iterator<Item = (usize, u64)> {
+        let (win, n) = (self.win_us, self.busy_us.len());
         let mut t = a_us;
-        while t < b_us {
-            let s = ((t / win) as usize).min(n - 1);
-            let boundary = if s + 1 == n {
-                b_us
-            } else {
-                ((s as u64 + 1) * win).min(b_us)
-            };
-            self.energy_j[s] += watts * (boundary - t) as f64 / 1e6;
-            t = boundary;
+        std::iter::from_fn(move || {
+            (t < b_us).then(|| {
+                let s = ((t / win) as usize).min(n - 1);
+                let boundary = if s + 1 == n {
+                    b_us
+                } else {
+                    ((s as u64 + 1) * win).min(b_us)
+                };
+                let piece = (s, boundary - t);
+                t = boundary;
+                piece
+            })
+        })
+    }
+
+    /// Attributes `watts` drawn over `[a_us, b_us)` to its windows.
+    fn energy(&mut self, a_us: u64, b_us: u64, watts: f64) {
+        for (s, us) in self.pieces(a_us, b_us) {
+            self.energy_j[s] += watts * us as f64 / 1e6;
         }
     }
 
     /// Attributes non-idle time over `[a_us, b_us)` to its windows.
     fn busy(&mut self, a_us: u64, b_us: u64) {
-        let (win, n) = (self.win_us, self.busy_us.len());
-        let mut t = a_us;
-        while t < b_us {
-            let s = ((t / win) as usize).min(n - 1);
-            let boundary = if s + 1 == n {
-                b_us
-            } else {
-                ((s as u64 + 1) * win).min(b_us)
-            };
-            self.busy_us[s] += boundary - t;
-            t = boundary;
+        for (s, us) in self.pieces(a_us, b_us) {
+            self.busy_us[s] += us;
         }
     }
 
@@ -230,35 +244,14 @@ impl SimScratch {
     }
 }
 
-/// The run loop's mutable state, shared by the batched fast path and
-/// the reference tick-by-tick path so both execute the exact same
-/// accounting code where they overlap.
-struct LoopState {
-    now: SimTime,
-    next_tick: SimTime,
-    stall_until: SimTime,
-    end: SimTime,
-    quantum: SimDuration,
+/// What a run emits besides its totals, in the report's shape: a Full
+/// run fills the series, a Summary run the exact accumulators that
+/// stand in for them.
+struct Emission {
     utilization: TimeSeries,
     freq_mhz: TimeSeries,
     work_fraction: TimeSeries,
     power_w: TimeSeries,
-    totals: RunTotals,
-    /// Peripheral draw, constant for the whole run: the device set is
-    /// fixed at machine construction and never changes mid-simulation.
-    peripheral: Power,
-    power_cache: CorePowerCache,
-    busy_in_quantum: SimDuration,
-    work_in_quantum: Work,
-    last_power: Option<f64>,
-    fastest: StepIndex,
-    full_speed_khz: u32,
-    action_fuel_at: (SimTime, u32),
-    /// Set when an attached battery emptied and the run must stop.
-    stopped: bool,
-    /// Summary fidelity: per-tick emission is skipped and the fields
-    /// below carry the run's exact closed-form observables.
-    summary: bool,
     /// Completed quanta (= utilization samples a Full run would hold).
     ticks: u64,
     /// Busy microseconds inside completed quanta, each clamped to the
@@ -268,12 +261,216 @@ struct LoopState {
     /// sample), the exact integer numerator of the mean frequency over
     /// `ticks + 1` samples.
     freq_khz_sum: u64,
-    /// Compensated energy accumulator; committed into `totals` at
-    /// finish. Only used in summary runs.
-    span_energy: SpanEnergy,
+}
+
+impl Emission {
+    fn new(scratch: &mut SimScratch) -> Self {
+        Emission {
+            utilization: TimeSeries::with_buffer("utilization", scratch.take_buffer()),
+            freq_mhz: TimeSeries::with_buffer("freq_mhz", scratch.take_buffer()),
+            work_fraction: TimeSeries::with_buffer("work_fraction", scratch.take_buffer()),
+            power_w: TimeSeries::with_buffer("watts", scratch.take_buffer()),
+            ticks: 0,
+            util_sum_us: 0,
+            freq_khz_sum: 0,
+        }
+    }
+}
+
+/// Where a run's output goes, picked once per run from
+/// [`KernelConfig::fidelity`]: the only thing Full and Summary runs do
+/// differently. The segment step and the span loop report every
+/// segment, tick and uniform span here; each sink keeps what its
+/// fidelity records.
+trait Sink {
+    /// The sink records every tick, so a uniform span must visit its
+    /// ticks one by one.
+    const PER_TICK: bool;
+
+    /// Whether the policy observes the tick at `at`.
+    fn delivers(&self, at: SimTime) -> bool;
+
+    /// A segment `[at, at + span)` of the segment step that drew `p`
+    /// (`core_p` of it in the core) and completed `work`.
+    fn segment(&mut self, at: SimTime, span: SimDuration, p: Power, core_p: Power, work: Work);
+
+    /// The tick at `at`, before its policy decision. It closes a
+    /// quantum busy for `busy` that completed `work` beyond what its
+    /// segments reported; `util` is what the policy sees.
+    fn tick(&mut self, at: SimTime, busy: SimDuration, util: f64, work: Work, trace: &mut Trace);
+
+    /// The clock at `at`, after the tick's policy decision (and once at
+    /// t = 0). `pick` is a task a uniform span's scheduler re-picked,
+    /// for `log`; the segment step logs its own picks.
+    fn clock(&mut self, at: SimTime, freq: Frequency, pick: Option<Pid>, log: &mut SchedLog);
+
+    /// `n` more ticks of a uniform span, alike in `busy` and `freq`,
+    /// committed without visiting them. Only a sink that is not
+    /// [`Sink::PER_TICK`] is asked to.
+    fn skip(&mut self, n: u64, busy: SimDuration, freq: Frequency);
+
+    /// The `quanta` quanta from `start` that a uniform span drew `p`
+    /// (`core_p` of it in the core) over.
+    fn span(&mut self, start: SimTime, quanta: u64, p: Power, core_p: Power);
+
+    /// Closes the run's output, landing its energy in `totals`.
+    fn finish(self, totals: &mut RunTotals, now: SimTime) -> Emission;
+}
+
+/// [`SimFidelity::Full`]: every tick's samples, the power trace,
+/// per-segment energy and the span ticks' scheduler-log records.
+struct FullSink {
+    out: Emission,
+    energy: Energy,
+    core_energy: Energy,
+    record_power: bool,
+    last_power: Option<f64>,
+    quantum: SimDuration,
+    /// Work completed in the open quantum, for its work-fraction sample.
+    work_in_quantum: Work,
+    /// A work fraction is the quantum's work in cycles at the fastest
+    /// step over the cycles that step runs in a quantum (`wf_denom`).
+    fastest: StepIndex,
+    wf_denom: f64,
+    mem: MemoryTiming,
+}
+
+impl FullSink {
+    fn sample_power(&mut self, at: SimTime, p: Power) {
+        if self.record_power && self.last_power != Some(p.as_watts()) {
+            self.out.power_w.push(at, p.as_watts());
+            self.last_power = Some(p.as_watts());
+        }
+    }
+}
+
+impl Sink for FullSink {
+    const PER_TICK: bool = true;
+
+    fn delivers(&self, _: SimTime) -> bool {
+        true
+    }
+
+    fn segment(&mut self, at: SimTime, span: SimDuration, p: Power, core_p: Power, work: Work) {
+        self.sample_power(at, p);
+        self.energy += p.over(span);
+        self.core_energy += core_p.over(span);
+        self.work_in_quantum = self.work_in_quantum.plus(work);
+    }
+
+    fn tick(&mut self, at: SimTime, _: SimDuration, util: f64, work: Work, trace: &mut Trace) {
+        self.out.utilization.push(at, util);
+        trace.emit(
+            at.as_micros(),
+            obs::EventKind::QuantumBoundary { utilization: util },
+        );
+        let work = std::mem::replace(&mut self.work_in_quantum, Work::ZERO).plus(work);
+        let wf = work.total_cycles(self.fastest, &self.mem) / self.wf_denom;
+        self.out.work_fraction.push(at, wf.clamp(0.0, 1.0));
+    }
+
+    fn clock(&mut self, at: SimTime, freq: Frequency, pick: Option<Pid>, log: &mut SchedLog) {
+        self.out.freq_mhz.push(at, freq.as_mhz_f64());
+        if let Some(pid) = pick {
+            log.record(at, pid, freq.as_khz());
+        }
+    }
+
+    fn skip(&mut self, _: u64, _: SimDuration, _: Frequency) {
+        unreachable!("a per-tick sink visits every tick");
+    }
+
+    fn span(&mut self, start: SimTime, quanta: u64, p: Power, core_p: Power) {
+        self.sample_power(start, p);
+        // The segment step adds each quantum's energy on its own; adding
+        // the same product once per quantum gives the same bits.
+        let (e, core_e) = (p.over(self.quantum), core_p.over(self.quantum));
+        for _ in 0..quanta {
+            self.energy += e;
+            self.core_energy += core_e;
+        }
+    }
+
+    fn finish(mut self, totals: &mut RunTotals, now: SimTime) -> Emission {
+        if let Some(p) = self.last_power {
+            self.out.power_w.push(now, p);
+        }
+        (totals.energy, totals.core_energy) = (self.energy, self.core_energy);
+        self.out
+    }
+}
+
+/// [`SimFidelity::Summary`]: the exact tick, utilization and clock
+/// accumulators, and one compensated energy term per segment or span.
+struct SummarySink {
+    out: Emission,
+    quantum: SimDuration,
+    /// The policy's observation stride: it sees only the ticks whose
+    /// global index is a multiple.
+    stride: u64,
+    /// Committed into the totals at finish.
+    energy: SpanEnergy,
+}
+
+impl Sink for SummarySink {
+    const PER_TICK: bool = false;
+
+    fn delivers(&self, at: SimTime) -> bool {
+        self.stride == 1 || (at.as_micros() / self.quantum.as_micros()).is_multiple_of(self.stride)
+    }
+
+    fn segment(&mut self, _: SimTime, span: SimDuration, p: Power, core_p: Power, _: Work) {
+        self.energy.add(p, core_p, span);
+    }
+
+    fn tick(&mut self, _: SimTime, busy: SimDuration, _: f64, _: Work, _: &mut Trace) {
+        self.out.ticks += 1;
+        self.out.util_sum_us += busy.as_micros().min(self.quantum.as_micros());
+    }
+
+    fn clock(&mut self, _: SimTime, freq: Frequency, _: Option<Pid>, _: &mut SchedLog) {
+        self.out.freq_khz_sum += u64::from(freq.as_khz());
+    }
+
+    fn skip(&mut self, n: u64, busy: SimDuration, freq: Frequency) {
+        self.out.ticks += n;
+        self.out.util_sum_us += n * busy.as_micros().min(self.quantum.as_micros());
+        self.out.freq_khz_sum += n * u64::from(freq.as_khz());
+    }
+
+    fn span(&mut self, _: SimTime, quanta: u64, p: Power, core_p: Power) {
+        let drawn = SimDuration::from_micros(quanta * self.quantum.as_micros());
+        self.energy.add(p, core_p, drawn);
+    }
+
+    fn finish(self, totals: &mut RunTotals, _: SimTime) -> Emission {
+        self.energy.commit(totals);
+        self.out
+    }
+}
+
+/// The run loop's mutable state, shared by the segment step and the
+/// span loop so both execute the exact same accounting code where they
+/// overlap.
+struct LoopState<S> {
+    now: SimTime,
+    next_tick: SimTime,
+    stall_until: SimTime,
+    end: SimTime,
+    quantum: SimDuration,
+    totals: RunTotals,
+    /// Peripheral draw, constant for the whole run: the device set is
+    /// fixed at machine construction and never changes mid-simulation.
+    peripheral: Power,
+    power_cache: CorePowerCache,
+    busy_in_quantum: SimDuration,
+    action_fuel_at: (SimTime, u32),
+    /// Set when an attached battery emptied and the run must stop.
+    stopped: bool,
     /// Windowed trajectory accumulator; `None` unless
     /// [`KernelConfig::timeline_windows`] is nonzero.
     timeline: Option<TimelineAcc>,
+    sink: S,
 }
 
 /// A provably-uniform stretch of whole quanta the batched kernel can
@@ -436,55 +633,76 @@ impl Kernel {
     /// expected to eventually [`SimScratch::recycle`] back into) a
     /// caller-held allocation pool. Batch drivers use this to amortize
     /// per-run allocation across thousands of jobs.
-    pub fn run_scratch(mut self, scratch: &mut SimScratch) -> KernelReport {
+    pub fn run_scratch(self, scratch: &mut SimScratch) -> KernelReport {
         let quantum = self.config.quantum;
         assert!(!quantum.is_zero(), "quantum must be positive");
-        let fastest = self.machine.cpu.table().fastest();
+        let out = Emission::new(scratch);
+        match self.config.fidelity {
+            SimFidelity::Full => {
+                let table = self.machine.cpu.table();
+                let fastest = table.fastest();
+                let sink = FullSink {
+                    out,
+                    energy: Energy::ZERO,
+                    core_energy: Energy::ZERO,
+                    record_power: self.config.record_power,
+                    last_power: None,
+                    quantum,
+                    work_in_quantum: Work::ZERO,
+                    fastest,
+                    wf_denom: table.freq(fastest).as_khz() as f64 * quantum.as_micros() as f64
+                        / 1_000.0,
+                    mem: self.machine.mem.clone(),
+                };
+                self.run_with(sink)
+            }
+            SimFidelity::Summary => {
+                let stride = self
+                    .policy
+                    .as_ref()
+                    .map_or(1, |p| p.observation_stride().max(1));
+                let sink = SummarySink {
+                    out,
+                    quantum,
+                    stride,
+                    energy: SpanEnergy::new(),
+                };
+                self.run_with(sink)
+            }
+        }
+    }
+
+    /// The run loop, with `sink` taking the run's output.
+    fn run_with<S: Sink>(mut self, sink: S) -> KernelReport {
+        let quantum = self.config.quantum;
         let mut ls = LoopState {
             now: SimTime::ZERO,
             next_tick: SimTime::ZERO + quantum,
             stall_until: SimTime::ZERO,
             end: SimTime::ZERO + self.config.duration,
             quantum,
-            utilization: TimeSeries::with_buffer("utilization", scratch.take_buffer()),
-            freq_mhz: TimeSeries::with_buffer("freq_mhz", scratch.take_buffer()),
-            work_fraction: TimeSeries::with_buffer("work_fraction", scratch.take_buffer()),
-            power_w: TimeSeries::with_buffer("watts", scratch.take_buffer()),
             totals: RunTotals::new(),
             peripheral: self.machine.power.peripheral_power(self.machine.devices),
             power_cache: CorePowerCache::new(),
             busy_in_quantum: SimDuration::ZERO,
-            work_in_quantum: Work::ZERO,
-            last_power: None,
-            fastest,
-            full_speed_khz: self.machine.cpu.table().freq(fastest).as_khz(),
             action_fuel_at: (SimTime::ZERO, 0u32),
             stopped: false,
-            summary: self.config.fidelity.is_summary(),
-            ticks: 0,
-            util_sum_us: 0,
-            freq_khz_sum: 0,
-            span_energy: SpanEnergy::new(),
             timeline: (self.config.timeline_windows > 0).then(|| {
                 TimelineAcc::new(
                     self.config.timeline_windows,
                     self.config.duration.as_micros(),
                 )
             }),
+            sink,
         };
 
-        // Record the initial frequency sample so Figure 8-style plots
-        // start at t = 0; a summary run keeps the same sample as an
-        // exact integer term instead.
-        if ls.summary {
-            ls.freq_khz_sum += u64::from(self.machine.cpu.freq().as_khz());
-        } else {
-            ls.freq_mhz
-                .push(ls.now, self.machine.cpu.freq().as_mhz_f64());
-        }
+        // The initial clock sample, so Figure 8-style plots start at
+        // t = 0.
+        ls.sink
+            .clock(ls.now, self.machine.cpu.freq(), None, &mut self.sched_log);
         self.pick_current(ls.now);
 
-        // Tracing forces the reference path: per-tick policy and
+        // Tracing forces the reference loop: per-tick policy and
         // quantum events make every tick observable, so no span is
         // uniform.
         let batched = !self.config.reference && !self.config.trace;
@@ -507,7 +725,7 @@ impl Kernel {
     /// core executes nothing, so the whole block is skipped mid-stall;
     /// otherwise the loop ends when the current task has real work
     /// queued or the runqueue drains.
-    fn resolve_actions(&mut self, ls: &mut LoopState) {
+    fn resolve_actions<S>(&mut self, ls: &mut LoopState<S>) {
         let now = ls.now;
         while ls.stall_until <= now && self.needs_action() {
             let Some(pid) = self.current else { break };
@@ -543,14 +761,44 @@ impl Kernel {
         }
     }
 
-    /// One iteration of the reference loop: a single segment plus, when
-    /// the segment ends on a tick, the timer-tick work. Returns `true`
-    /// when an attached battery emptied and the run must stop.
+    /// Applies a policy's request at tick `at`. A request for the
+    /// current step and voltage is a no-op; an electrically unsafe one
+    /// is retried with the voltage clamped up to `V_HIGH`; a clock
+    /// switch stalls the core. Returns whether the request asked for a
+    /// change (clamping may still leave the machine as it was).
+    fn apply_request(
+        &mut self,
+        stall_until: &mut SimTime,
+        at: SimTime,
+        req: PolicyRequest,
+    ) -> bool {
+        let (cur_step, cur_v) = (self.machine.cpu.step(), self.machine.cpu.voltage());
+        let (step, voltage) = (req.step.unwrap_or(cur_step), req.voltage.unwrap_or(cur_v));
+        if (step, voltage) == (cur_step, cur_v) {
+            return false;
+        }
+        let at_us = at.as_micros();
+        let Machine { cpu, power, .. } = &mut self.machine;
+        let transition = cpu
+            .request_traced(step, voltage, &power.params, at_us, &mut self.trace)
+            .unwrap_or_else(|_| {
+                cpu.request_traced(step, V_HIGH, &power.params, at_us, &mut self.trace)
+                    .expect("high voltage is safe at every step")
+            });
+        if !transition.stall.is_zero() {
+            *stall_until = at + transition.stall;
+        }
+        true
+    }
+
+    /// One step of the reference loop: a single segment plus, when the
+    /// segment ends on a tick, the timer-tick work. Returns `true` when
+    /// an attached battery emptied and the run must stop.
     ///
-    /// This is the oracle the batched path is proven against — every
+    /// This is the oracle the span loop is proven against — every
     /// non-uniform moment of a batched run also flows through here, so
-    /// the two paths cannot drift in shared territory.
-    fn step_segment(&mut self, ls: &mut LoopState) -> bool {
+    /// the two cannot drift in shared territory.
+    fn step_segment<S: Sink>(&mut self, ls: &mut LoopState<S>) -> bool {
         let now = ls.now;
         let quantum = ls.quantum;
         let boundary = ls.next_tick.min(ls.end);
@@ -572,10 +820,8 @@ impl Kernel {
                     RunState::Work(w) => {
                         let budget = boundary.duration_since(now);
                         match w.execute_for(budget, step, freq, &self.machine.mem) {
-                            itsy_hw::WorkProgress::Completed(d) => {
-                                (now + d, CpuMode::Run, w, true, false)
-                            }
-                            itsy_hw::WorkProgress::Remaining(rest) => {
+                            WorkProgress::Completed(d) => (now + d, CpuMode::Run, w, true, false),
+                            WorkProgress::Remaining(rest) => {
                                 let done = w.plus(rest.scaled(-1.0));
                                 self.task(pid).run = RunState::Work(rest);
                                 (boundary, CpuMode::Run, done, false, false)
@@ -604,18 +850,7 @@ impl Kernel {
                 ls.power_cache
                     .get(&self.machine.power, mode, freq, self.machine.cpu.voltage());
             let p = core_p + ls.peripheral;
-            if ls.summary {
-                // No power trace; energy goes through the compensated
-                // accumulator (committed into the totals at finish).
-                ls.span_energy.add(p, core_p, span);
-            } else {
-                if self.config.record_power && ls.last_power != Some(p.as_watts()) {
-                    ls.power_w.push(now, p.as_watts());
-                    ls.last_power = Some(p.as_watts());
-                }
-                ls.totals.energy += p.over(span);
-                ls.totals.core_energy += core_p.over(span);
-            }
+            ls.sink.segment(now, span, p, core_p, work_done);
             if let Some(tl) = ls.timeline.as_mut() {
                 // Energy is drawn even when the battery empties below
                 // and cuts the run short, so it is bucketed first.
@@ -651,11 +886,6 @@ impl Kernel {
                     tl.busy(now.as_micros(), seg_end.as_micros());
                 }
             }
-            if !ls.summary {
-                // Only the work-fraction series reads this; a summary
-                // run never computes it.
-                ls.work_in_quantum = ls.work_in_quantum.plus(work_done);
-            }
         }
         ls.now = seg_end;
         let now = seg_end;
@@ -669,29 +899,13 @@ impl Kernel {
 
         // Timer tick.
         if now == ls.next_tick && now <= ls.end {
-            // Utilization of the quantum that just ended. The f64 value
-            // feeds the policy in both fidelities; Full pushes it as a
-            // series sample, Summary folds the exact integer numerator
-            // into the mean-utilization accumulator instead.
+            // Utilization of the quantum that just ended, as the policy
+            // sees it.
             let util = (ls.busy_in_quantum.as_micros() as f64 / quantum.as_micros() as f64)
                 .clamp(0.0, 1.0);
-            if ls.summary {
-                ls.ticks += 1;
-                ls.util_sum_us += ls.busy_in_quantum.as_micros().min(quantum.as_micros());
-            } else {
-                ls.utilization.push(now, util);
-                self.trace.emit(
-                    now.as_micros(),
-                    obs::EventKind::QuantumBoundary { utilization: util },
-                );
-                let wf = ls
-                    .work_in_quantum
-                    .total_cycles(ls.fastest, &self.machine.mem)
-                    / (ls.full_speed_khz as f64 * quantum.as_micros() as f64 / 1_000.0);
-                ls.work_fraction.push(now, wf.clamp(0.0, 1.0));
-            }
+            ls.sink
+                .tick(now, ls.busy_in_quantum, util, Work::ZERO, &mut self.trace);
             ls.busy_in_quantum = SimDuration::ZERO;
-            ls.work_in_quantum = Work::ZERO;
 
             // Wake sleepers (jiffy granularity).
             for (i, t) in self.tasks.iter_mut().enumerate() {
@@ -704,41 +918,14 @@ impl Kernel {
             }
 
             // The clock-scaling policy module runs from the timer
-            // interrupt. A summary run honours the policy's observation
-            // stride: ticks whose global index is off-stride are not
-            // delivered (the policy asserted it does not consume them).
-            let deliver = !ls.summary
-                || self.policy.as_ref().is_none_or(|p| {
-                    let stride = p.observation_stride().max(1);
-                    stride == 1 || (now.as_micros() / quantum.as_micros()).is_multiple_of(stride)
-                });
-            if !deliver {
-                // Skipped delivery: the machine state is untouched.
-            } else if let Some(policy) = self.policy.as_mut() {
+            // interrupt, on the ticks the sink delivers.
+            if let Some(policy) = self.policy.as_mut().filter(|_| ls.sink.delivers(now)) {
                 let cur = self.machine.cpu.step();
                 let req = policy.on_interval_traced(now, util, cur, &mut self.trace);
-                let target_step = req.step.unwrap_or(cur);
-                let target_v = req.voltage.unwrap_or(self.machine.cpu.voltage());
-                let now_us = now.as_micros();
-                let Machine { cpu, power, .. } = &mut self.machine;
-                let params = &power.params;
-                let transition = cpu
-                    .request_traced(target_step, target_v, params, now_us, &mut self.trace)
-                    .unwrap_or_else(|_| {
-                        // Electrically unsafe request: the kernel
-                        // clamps the voltage up and retries.
-                        cpu.request_traced(target_step, V_HIGH, params, now_us, &mut self.trace)
-                            .expect("high voltage is safe at every step")
-                    });
-                if !transition.stall.is_zero() {
-                    ls.stall_until = now + transition.stall;
-                }
+                self.apply_request(&mut ls.stall_until, now, req);
             }
-            if ls.summary {
-                ls.freq_khz_sum += u64::from(self.machine.cpu.freq().as_khz());
-            } else {
-                ls.freq_mhz.push(now, self.machine.cpu.freq().as_mhz_f64());
-            }
+            ls.sink
+                .clock(now, self.machine.cpu.freq(), None, &mut self.sched_log);
 
             // Scheduler entry. With the paper's modification the
             // counter is forced to 1, so every tick preempts; stock
@@ -768,11 +955,11 @@ impl Kernel {
         false
     }
 
-    /// The batched fast path: detects a uniform span starting at the
-    /// current (tick-aligned) time and executes it in a flat loop that
-    /// performs exactly the floating-point operations the reference
-    /// path would — in the same order, on the same values — while
-    /// delivering every integer-valued side effect in closed form.
+    /// The span loop: detects a uniform span starting at the current
+    /// (tick-aligned) time and executes it in one flat per-quantum loop
+    /// that performs exactly the floating-point operations the segment
+    /// step would — in the same order, on the same values — then
+    /// commits every integer-valued side effect in closed form.
     ///
     /// Returns `true` if it consumed at least one whole quantum (the
     /// caller re-enters the loop), `false` to fall back to
@@ -789,8 +976,8 @@ impl Kernel {
     ///   tick (each limit is computed exactly below);
     /// - the policy keeps requesting machine no-ops (checked per tick;
     ///   a request that changes the machine ends the span *after* its
-    ///   tick completes, exactly like the reference path).
-    fn run_uniform_span(&mut self, ls: &mut LoopState) -> bool {
+    ///   tick completes, exactly like the segment step).
+    fn run_uniform_span<S: Sink>(&mut self, ls: &mut LoopState<S>) -> bool {
         if ls.stall_until > ls.now || ls.now + ls.quantum != ls.next_tick {
             return false;
         }
@@ -805,7 +992,7 @@ impl Kernel {
                 _ => return false,
             },
         };
-        debug_assert!(ls.busy_in_quantum.is_zero() && ls.work_in_quantum.is_zero());
+        debug_assert!(ls.busy_in_quantum.is_zero());
 
         let start_us = ls.now.as_micros();
         let q_us = ls.quantum.as_micros();
@@ -814,7 +1001,7 @@ impl Kernel {
         let mut max = ls.end.duration_since(ls.now).as_micros() / q_us;
         // A sleeper waking at tick `j` changes the runqueue during that
         // tick's processing, so the span may cover at most `j - 1`
-        // quanta; the wake tick itself runs on the reference path.
+        // quanta; the wake tick itself runs in the segment step.
         for t in &self.tasks {
             if let Status::Sleeping(until) = t.status {
                 let wake_tick = if until.as_micros() <= start_us {
@@ -839,255 +1026,70 @@ impl Kernel {
         // Constant machine state across the span.
         let step = self.machine.cpu.step();
         let freq = self.machine.cpu.freq();
-        let khz = freq.as_khz();
-        let mhz = freq.as_mhz_f64();
         let voltage = self.machine.cpu.voltage();
-        let (mode, util) = match kind {
-            SpanKind::Idle => (CpuMode::Nap, 0.0),
-            SpanKind::Work(..) | SpanKind::Spin(..) => (CpuMode::Run, 1.0),
+        let (mode, util, busy, running) = match kind {
+            SpanKind::Idle => (CpuMode::Nap, 0.0, SimDuration::ZERO, IDLE_PID),
+            SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) => (CpuMode::Run, 1.0, ls.quantum, pid),
         };
         let core_p = ls.power_cache.get(&self.machine.power, mode, freq, voltage);
         let p = core_p + ls.peripheral;
-        let p_w = p.as_watts();
-        // Same multiply the reference performs per segment; computing
-        // it once and adding it `n` times gives the same bits as
-        // computing it `n` times.
-        let e_q = p.over(ls.quantum);
-        let ce_q = core_p.over(ls.quantum);
-        let wf_denom = ls.full_speed_khz as f64 * q_us as f64 / 1_000.0;
+        // The scheduler re-picks, and logs, the idle task every tick and
+        // the running task whenever its preemption counter expires: every
+        // tick when scheduling is forced, else once the counter runs down
+        // and every `default_counter` ticks after. Either way the empty
+        // runqueue hands the core straight back.
         let force = self.config.force_schedule_every_tick;
         let default_counter = self.config.default_counter.max(1);
-        let has_battery = self.machine.battery.is_some();
+        let (mut next_pick, pick_every) = match kind {
+            SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) if !force => (
+                u64::from(self.tasks[(pid - 1) as usize].counter.max(1)),
+                u64::from(default_counter),
+            ),
+            _ => (1, 1),
+        };
         // A memoryless policy that answered one uniform tick with a
         // machine no-op answers every identical tick the same way and
-        // ends the span in the same state, so the remaining calls are
-        // elided.
+        // ends the span in the same state, so once it settles its
+        // remaining calls are elided.
         let elide_policy = self
             .policy
             .as_ref()
             .is_none_or(|policy| policy.is_memoryless());
-        let mut policy_settled = false;
-
-        if ls.summary {
-            // ---- Summary fidelity: commit the span in closed form ----
-            //
-            // Nothing per-tick is emitted, so a quantum only needs real
-            // execution when something genuinely per-tick remains:
-            // order-dependent `Work` remainders, battery smoothing
-            // state, or a policy that must observe each tick. Pure
-            // idle/spin spans with an absent or settled memoryless
-            // policy cost O(1) regardless of length.
-            let stride = self
-                .policy
-                .as_ref()
-                .map_or(1, |p| p.observation_stride().max(1));
-            let mut w_left = match kind {
-                SpanKind::Work(_, w) => w,
-                _ => Work::ZERO,
-            };
-            let mut executed: u64 = 0; // quanta fully accounted
-            let mut span_over = false; // policy changed the machine
-            let mut energy_quanta: u64 = 0; // quanta owing energy
-            let needs_tick_loop = matches!(kind, SpanKind::Work(..))
-                || has_battery
-                || (self.policy.is_some() && !elide_policy);
-            if needs_tick_loop {
-                while executed < max && !span_over {
-                    let t_k = SimTime::from_micros(start_us + (executed + 1) * q_us);
-                    if let SpanKind::Work(..) = kind {
-                        match w_left.execute_for(ls.quantum, step, freq, &self.machine.mem) {
-                            itsy_hw::WorkProgress::Completed(_) => break, // reference finishes it
-                            itsy_hw::WorkProgress::Remaining(rest) => w_left = rest,
-                        }
-                    }
-                    energy_quanta += 1;
-                    if has_battery {
-                        let batt = self.machine.battery.as_mut().expect("checked above");
-                        batt.drain(p, ls.quantum);
-                        if self.config.stop_when_battery_empty && batt.is_empty() {
-                            // Same cut as the reference: the emptying
-                            // quantum draws energy but adds no time.
-                            ls.now = t_k;
-                            ls.stopped = true;
-                            break;
-                        }
-                    }
-                    executed += 1;
-                    if let Some(policy) = self.policy.as_mut() {
-                        if !(policy_settled && elide_policy)
-                            && (stride == 1 || (t_k.as_micros() / q_us).is_multiple_of(stride))
-                        {
-                            let req = policy.on_interval(t_k, util, step);
-                            let noop = req.step.is_none_or(|s| s == step)
-                                && req.voltage.is_none_or(|v| v == voltage);
-                            if noop {
-                                policy_settled = true;
-                            } else {
-                                let target_step = req.step.unwrap_or(step);
-                                let target_v = req.voltage.unwrap_or(voltage);
-                                let Machine { cpu, power, .. } = &mut self.machine;
-                                let params = &power.params;
-                                let transition = cpu
-                                    .request(target_step, target_v, params)
-                                    .unwrap_or_else(|_| {
-                                        cpu.request(target_step, V_HIGH, params)
-                                            .expect("high voltage is safe at every step")
-                                    });
-                                if !transition.stall.is_zero() {
-                                    ls.stall_until = t_k + transition.stall;
-                                }
-                                span_over = true;
-                            }
-                        }
-                    }
-                }
-            } else {
-                // O(1) path: probe the (memoryless) policy once — its
-                // answer to one uniform tick is its answer to all of
-                // them — then commit every remaining quantum at once.
-                if let Some(policy) = self.policy.as_mut() {
-                    let t_1 = SimTime::from_micros(start_us + q_us);
-                    let req = policy.on_interval(t_1, util, step);
-                    let noop = req.step.is_none_or(|s| s == step)
-                        && req.voltage.is_none_or(|v| v == voltage);
-                    if !noop {
-                        let target_step = req.step.unwrap_or(step);
-                        let target_v = req.voltage.unwrap_or(voltage);
-                        let Machine { cpu, power, .. } = &mut self.machine;
-                        let params = &power.params;
-                        let transition =
-                            cpu.request(target_step, target_v, params)
-                                .unwrap_or_else(|_| {
-                                    cpu.request(target_step, V_HIGH, params)
-                                        .expect("high voltage is safe at every step")
-                                });
-                        if !transition.stall.is_zero() {
-                            ls.stall_until = t_1 + transition.stall;
-                        }
-                        span_over = true;
-                        executed = 1;
-                    }
-                }
-                if !span_over {
-                    executed = max;
-                }
-                energy_quanta = executed;
-            }
-
-            if executed == 0 && !ls.stopped {
-                return false;
-            }
-
-            // Closed-form commit: one compensated energy term for the
-            // whole span (exact for constant power), exact integer
-            // accounting for everything else.
-            let span_total = SimDuration::from_micros(executed * q_us);
-            ls.span_energy
-                .add(p, core_p, SimDuration::from_micros(energy_quanta * q_us));
-            if let Some(tl) = ls.timeline.as_mut() {
-                // `energy_quanta` quanta drew power (an emptying
-                // battery's final quantum draws energy but adds no
-                // time); `executed` quanta were busy for Work/Spin.
-                tl.energy(start_us, start_us + energy_quanta * q_us, p_w);
-                if !matches!(kind, SpanKind::Idle) {
-                    tl.busy(start_us, start_us + executed * q_us);
-                }
-            }
-            if !ls.stopped {
-                ls.now = SimTime::from_micros(start_us + executed * q_us);
-            }
-            ls.next_tick = ls.now + ls.quantum;
-            ls.ticks += executed;
-            // Frequency samples: every tick saw the span clock, except
-            // that a span-ending decision leaves its own tick sampled
-            // at the new clock (the reference samples post-decision).
-            let khz64 = u64::from(khz);
-            ls.freq_khz_sum += executed * khz64;
-            if span_over {
-                ls.freq_khz_sum -= khz64;
-                ls.freq_khz_sum += u64::from(self.machine.cpu.freq().as_khz());
-            }
-            match kind {
-                SpanKind::Idle => ls.totals.idle += span_total,
-                SpanKind::Work(pid, _) => {
-                    ls.totals.busy += span_total;
-                    ls.util_sum_us += executed * q_us;
-                    let t = &mut self.tasks[(pid - 1) as usize];
-                    t.cpu_time += span_total;
-                    t.run = RunState::Work(w_left);
-                }
-                SpanKind::Spin(pid, _) => {
-                    ls.totals.busy += span_total;
-                    ls.totals.spun += span_total;
-                    ls.util_sum_us += executed * q_us;
-                    self.tasks[(pid - 1) as usize].cpu_time += span_total;
-                }
-            }
-            // Preemption counter in closed form: forced scheduling
-            // resets it every tick; otherwise it decrements per tick
-            // and wraps through `default_counter` on expiry.
-            if executed > 0 {
-                if let SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) = kind {
-                    let t = &mut self.tasks[(pid - 1) as usize];
-                    t.counter = if force {
-                        default_counter
-                    } else {
-                        let c0 = u64::from(t.counter.max(1));
-                        let dc = u64::from(default_counter);
-                        if executed < c0 {
-                            (c0 - executed) as u32
-                        } else {
-                            let r = (executed - c0) % dc;
-                            if r == 0 {
-                                default_counter
-                            } else {
-                                (dc - r) as u32
-                            }
-                        }
-                    };
-                }
-            }
-            return true;
-        }
-
-        // Power-trace sample at the span head, exactly where the
-        // reference samples its first segment.
-        if self.config.record_power && ls.last_power != Some(p_w) {
-            ls.power_w.push(ls.now, p_w);
-            ls.last_power = Some(p_w);
-        }
+        let mut settled = self.policy.is_none();
+        // With nothing per-tick left to do — no tick the sink records,
+        // no `Work` remainder or battery drain to replay in order, a
+        // settled policy — the rest of the span commits at once.
+        let collapsible = !S::PER_TICK
+            && elide_policy
+            && self.machine.battery.is_none()
+            && !matches!(kind, SpanKind::Work(..));
 
         let mut w_left = match kind {
             SpanKind::Work(_, w) => w,
             _ => Work::ZERO,
         };
         let mut executed: u64 = 0; // quanta fully accounted
-        let mut span_over = false; // policy changed the machine
+        let mut span_over = false; // policy asked for a change
         while executed < max && !span_over {
             let t_k = SimTime::from_micros(start_us + (executed + 1) * q_us);
 
             // -- the quantum's single segment --
-            let mut wf = 0.0;
+            let mut done = Work::ZERO;
             if let SpanKind::Work(..) = kind {
                 match w_left.execute_for(ls.quantum, step, freq, &self.machine.mem) {
-                    itsy_hw::WorkProgress::Completed(_) => break, // reference path finishes it
-                    itsy_hw::WorkProgress::Remaining(rest) => {
-                        let done = w_left.plus(rest.scaled(-1.0));
+                    WorkProgress::Completed(_) => break, // the segment step finishes it
+                    WorkProgress::Remaining(rest) => {
+                        done = w_left.plus(rest.scaled(-1.0));
                         w_left = rest;
-                        wf = (done.total_cycles(ls.fastest, &self.machine.mem) / wf_denom)
-                            .clamp(0.0, 1.0);
                     }
                 }
             }
-            ls.totals.energy += e_q;
-            ls.totals.core_energy += ce_q;
-            if has_battery {
-                let batt = self.machine.battery.as_mut().expect("checked above");
+            if let Some(batt) = self.machine.battery.as_mut() {
                 batt.drain(p, ls.quantum);
                 if self.config.stop_when_battery_empty && batt.is_empty() {
-                    // The reference breaks out before the mode
-                    // accounting and the tick, so this quantum adds
-                    // energy but no busy/idle time.
+                    // The segment step stops before the mode accounting
+                    // and the tick, so this quantum draws energy but
+                    // adds no time.
                     ls.now = t_k;
                     ls.stopped = true;
                     break;
@@ -1095,62 +1097,27 @@ impl Kernel {
             }
             executed += 1;
 
-            // -- the tick at t_k --
-            ls.utilization.push(t_k, util);
-            ls.work_fraction.push(t_k, wf);
-            // No sleeper can wake before the span's bound.
-            if let Some(policy) = self.policy.as_mut() {
-                if !(policy_settled && elide_policy) {
+            // -- the tick at t_k: no sleeper can wake before the span's
+            // bound --
+            ls.sink.tick(t_k, busy, util, done, &mut self.trace);
+            if !settled && ls.sink.delivers(t_k) {
+                if let Some(policy) = self.policy.as_mut() {
                     let req = policy.on_interval(t_k, util, step);
-                    let noop = req.step.is_none_or(|s| s == step)
-                        && req.voltage.is_none_or(|v| v == voltage);
-                    if noop {
-                        // Applying a no-op request is free and mutates
-                        // nothing (no transition, no switch counters).
-                        policy_settled = true;
-                    } else {
-                        let target_step = req.step.unwrap_or(step);
-                        let target_v = req.voltage.unwrap_or(voltage);
-                        let Machine { cpu, power, .. } = &mut self.machine;
-                        let params = &power.params;
-                        let transition =
-                            cpu.request(target_step, target_v, params)
-                                .unwrap_or_else(|_| {
-                                    cpu.request(target_step, V_HIGH, params)
-                                        .expect("high voltage is safe at every step")
-                                });
-                        if !transition.stall.is_zero() {
-                            ls.stall_until = t_k + transition.stall;
-                        }
-                        span_over = true;
-                    }
+                    span_over = self.apply_request(&mut ls.stall_until, t_k, req);
+                    settled = !span_over && elide_policy;
                 }
             }
-            let (cur_khz, cur_mhz) = if span_over {
-                let f = self.machine.cpu.freq();
-                (f.as_khz(), f.as_mhz_f64())
-            } else {
-                (khz, mhz)
-            };
-            ls.freq_mhz.push(t_k, cur_mhz);
-            match kind {
-                SpanKind::Idle => self.sched_log.record(t_k, IDLE_PID, cur_khz),
-                SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) => {
-                    let t = &mut self.tasks[(pid - 1) as usize];
-                    let expired = if force {
-                        true
-                    } else {
-                        t.counter = t.counter.saturating_sub(1);
-                        t.counter == 0
-                    };
-                    if expired {
-                        // The reference pops the task off the runqueue
-                        // and immediately re-picks it: current and the
-                        // (empty) runqueue end up unchanged, leaving
-                        // only the log record and the counter reset.
-                        t.counter = default_counter;
-                        self.sched_log.record(t_k, pid, cur_khz);
-                    }
+            let pick = (executed == next_pick).then(|| {
+                next_pick += pick_every;
+                running
+            });
+            let cur = self.machine.cpu.freq();
+            ls.sink.clock(t_k, cur, pick, &mut self.sched_log);
+            if collapsible && settled {
+                ls.sink.skip(max - executed, busy, freq);
+                executed = max;
+                if next_pick <= max {
+                    next_pick += ((max - next_pick) / pick_every + 1) * pick_every;
                 }
             }
         }
@@ -1159,51 +1126,43 @@ impl Kernel {
             return false;
         }
 
-        // Closed-form delivery of the integer accounting the flat loop
-        // skipped: n identical integer adds of `quantum` are exactly
-        // `n * quantum`.
-        let span_total = SimDuration::from_micros(executed * q_us);
+        // Closed-form commit of what every quantum added alike: n
+        // identical integer adds of `quantum` are exactly `n * quantum`.
+        let quanta = executed + u64::from(ls.stopped);
+        let start = SimTime::from_micros(start_us);
+        ls.sink.span(start, quanta, p, core_p);
         if let Some(tl) = ls.timeline.as_mut() {
-            // An emptying battery's final quantum drew energy without
-            // counting as executed; mirror that in the window buckets.
-            let energy_quanta = executed + u64::from(ls.stopped);
-            tl.energy(start_us, start_us + energy_quanta * q_us, p_w);
-            if !matches!(kind, SpanKind::Idle) {
-                tl.busy(start_us, start_us + executed * q_us);
-            }
+            tl.energy(start_us, start_us + quanta * q_us, p.as_watts());
+            tl.busy(start_us, start_us + executed * busy.as_micros());
         }
         if !ls.stopped {
             ls.now = SimTime::from_micros(start_us + executed * q_us);
         }
         ls.next_tick = ls.now + ls.quantum;
+        let span_total = SimDuration::from_micros(executed * q_us);
         match kind {
             SpanKind::Idle => ls.totals.idle += span_total,
-            SpanKind::Work(pid, _) => {
+            SpanKind::Work(pid, _) | SpanKind::Spin(pid, _) => {
                 ls.totals.busy += span_total;
                 let t = &mut self.tasks[(pid - 1) as usize];
                 t.cpu_time += span_total;
-                t.run = RunState::Work(w_left);
-            }
-            SpanKind::Spin(pid, _) => {
-                ls.totals.busy += span_total;
-                ls.totals.spun += span_total;
-                self.tasks[(pid - 1) as usize].cpu_time += span_total;
+                match kind {
+                    SpanKind::Work(..) => t.run = RunState::Work(w_left),
+                    _ => ls.totals.spun += span_total,
+                }
+                // Ticks left until the counter next expires; forced
+                // scheduling keeps it at `default_counter`.
+                if !force {
+                    t.counter = (next_pick - executed) as u32;
+                }
             }
         }
         true
     }
 
-    /// Closes the power trace and assembles the report.
-    fn finish(self, mut ls: LoopState) -> KernelReport {
-        if ls.summary {
-            // All of a summary run's energy flowed through the
-            // compensated accumulator; land it in the totals now.
-            ls.span_energy.commit(&mut ls.totals);
-        } else if self.config.record_power {
-            if let Some(p) = ls.last_power {
-                ls.power_w.push(ls.now, p);
-            }
-        }
+    /// Closes the sink's output and assembles the report.
+    fn finish<S: Sink>(self, mut ls: LoopState<S>) -> KernelReport {
+        let out = ls.sink.finish(&mut ls.totals, ls.now);
 
         let per_task = self
             .tasks
@@ -1213,10 +1172,10 @@ impl Kernel {
             .collect();
 
         KernelReport {
-            utilization: ls.utilization,
-            freq_mhz: ls.freq_mhz,
-            work_fraction: ls.work_fraction,
-            power_w: ls.power_w,
+            utilization: out.utilization,
+            freq_mhz: out.freq_mhz,
+            work_fraction: out.work_fraction,
+            power_w: out.power_w,
             busy: ls.totals.busy,
             idle: ls.totals.idle,
             stalled: ls.totals.stalled,
@@ -1238,9 +1197,9 @@ impl Kernel {
             elapsed: ls.now.duration_since(SimTime::ZERO),
             fidelity: self.config.fidelity,
             quantum: ls.quantum,
-            ticks: ls.ticks,
-            util_sum_us: ls.util_sum_us,
-            freq_khz_sum: ls.freq_khz_sum,
+            ticks: out.ticks,
+            util_sum_us: out.util_sum_us,
+            freq_khz_sum: out.freq_khz_sum,
             timeline: ls.timeline.map(|t| t.samples()).unwrap_or_default(),
         }
     }
@@ -1249,7 +1208,7 @@ impl Kernel {
 /// Convenience: the step index of a frequency in the SA-1100 table.
 pub fn sa1100_step_of_mhz(mhz: f64) -> StepIndex {
     let table = itsy_hw::ClockTable::sa1100();
-    table.step_at_least(sim_core::Frequency::from_khz((mhz * 1000.0) as u32))
+    table.step_at_least(Frequency::from_khz((mhz * 1000.0) as u32))
 }
 
 #[cfg(test)]
@@ -1587,7 +1546,8 @@ mod tests {
     #[test]
     fn unsafe_voltage_requests_are_clamped_not_fatal() {
         // A policy that asks for 1.23 V at the top step: electrically
-        // unsafe; the kernel must clamp the voltage up and proceed.
+        // unsafe; the kernel must clamp the voltage up and proceed, the
+        // same way on every path and at every fidelity.
         struct Reckless;
         impl ClockPolicy for Reckless {
             fn on_interval(&mut self, _: SimTime, _: f64, _: StepIndex) -> PolicyRequest {
@@ -1596,17 +1556,50 @@ mod tests {
                     voltage: Some(itsy_hw::clock::V_LOW),
                 }
             }
+            // Its answer depends on nothing, so a Summary idle or spin
+            // span may probe it once for the whole span.
+            fn is_memoryless(&self) -> bool {
+                true
+            }
             fn name(&self) -> String {
                 "reckless".into()
             }
         }
-        let mut k = Kernel::new(Machine::itsy(0, DeviceSet::NONE), config(1));
-        k.spawn(busy_forever());
-        k.install_policy(Box::new(Reckless));
-        let r = k.run();
-        assert_eq!(r.final_step, 10, "the step change itself is honoured");
-        // And the run completed with sane accounting.
-        assert_eq!(r.time_accounted(), SimDuration::from_secs(1));
+        fn spinner() -> Box<dyn TaskBehavior> {
+            Box::new(FnBehavior::new("spinner", |ctx| {
+                TaskAction::SpinUntil(ctx.now + SimDuration::from_secs(10))
+            }))
+        }
+        // A busy task keeps Summary spans ticking per quantum; a spinner
+        // lets them commit at once.
+        for spin in [false, true] {
+            let run = |reference: bool, fidelity: SimFidelity| {
+                let cfg = KernelConfig {
+                    reference,
+                    fidelity,
+                    ..config(1)
+                };
+                let mut k = Kernel::new(Machine::itsy(0, DeviceSet::NONE), cfg);
+                k.spawn(if spin { spinner() } else { busy_forever() });
+                k.install_policy(Box::new(Reckless));
+                let r = k.run();
+                let which = format!("spin={spin} reference={reference} {fidelity:?}");
+                assert_eq!(r.final_step, 10, "{which}: the step change is honoured");
+                // And the run completed with sane accounting.
+                assert_eq!(r.time_accounted(), SimDuration::from_secs(1), "{which}");
+                let clamped = (r.final_step, r.clock_switches, r.voltage_switches);
+                ((clamped, r.stalled, r.busy), which)
+            };
+            let (batched, _) = run(false, SimFidelity::Full);
+            for (reference, fidelity) in [
+                (true, SimFidelity::Full),
+                (false, SimFidelity::Summary),
+                (true, SimFidelity::Summary),
+            ] {
+                let (other, which) = run(reference, fidelity);
+                assert_eq!(other, batched, "{which}");
+            }
+        }
     }
 
     #[test]
