@@ -34,14 +34,24 @@
 //! `\n`), so checking it copies nothing, and an entry whose line
 //! endings became `\r\n` still checks and is still served.
 //!
+//! A hit costs one read. The probe opens the entry and makes one
+//! `read` into a buffer sized for the whole entry (the spec's length
+//! plus room for the rest); when those bytes end a line and judge as a
+//! complete, checksum-valid entry for this spec, the hit is served
+//! without asking the file for its size or probing for EOF. Anything
+//! else — a short read, a damaged entry, a collision — reads on to EOF
+//! and is judged on every byte, so a short read can never quarantine a
+//! good entry. Under an active fault plan every probe reads to EOF
+//! first, because injected damage applies to the whole entry.
+//!
 //! Writes go through a temp file + rename so a run killed mid-write
 //! never leaves a half-entry that poisons a later `--resume`. Each
 //! write gets its own temp file (process id plus a process-wide
 //! sequence number): engine workers store concurrently, and two of
 //! them may store one key at once when a batch repeats a spec.
 
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,6 +61,12 @@ use crate::key::{ContentKey, Fnv64};
 
 /// Format fence for entry files.
 const HEADER: &str = "itsy-dvs engine cache v2";
+
+/// Bytes an entry holds besides its canonical spec: the header, the
+/// field prefixes, the longest result encoding (about 430 bytes), the
+/// crc line and the newlines, with room for `\r\n` line endings. A
+/// probe reads an entry into a buffer of the spec's length plus this.
+const ENTRY_SLACK: usize = 640;
 
 /// Numbers this process's temp files, so no two writes share one.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -96,8 +112,8 @@ impl ResultCache {
 
     /// Path of the entry for a key.
     fn entry_path(&self, key: ContentKey) -> PathBuf {
-        let hex = key.to_string();
-        self.dir.join(&hex[..2]).join(format!("{hex}.entry"))
+        let name = format!("{key}.entry");
+        self.dir.join(&name[..2]).join(&name)
     }
 
     /// Where damaged entries go.
@@ -144,17 +160,28 @@ impl ResultCache {
         faults: &FaultInjector,
     ) -> CacheProbe {
         let path = self.entry_path(key);
-        let Ok(mut bytes) = fs::read(&path) else {
+        let Ok(mut file) = File::open(&path) else {
             return CacheProbe::Miss;
         };
-        if faults.cache_read_error(key) {
-            // The read "failed"; indistinguishable from a missing file.
-            return CacheProbe::Miss;
-        }
-        faults.damage_cache_bytes(key, &mut bytes);
-
-        let _span = obs::span::enter("cache_decode");
-        match Self::parse(&bytes, canonical) {
+        let parsed = if faults.is_active() {
+            // Injected faults act on the whole entry as read from disk,
+            // so it is read to EOF before anything is judged.
+            let mut bytes = Vec::new();
+            if file.read_to_end(&mut bytes).is_err() || faults.cache_read_error(key) {
+                // A read that "failed" is indistinguishable from a
+                // missing file.
+                return CacheProbe::Miss;
+            }
+            faults.damage_cache_bytes(key, &mut bytes);
+            let _span = obs::span::enter("cache_decode");
+            Self::parse(&bytes, canonical)
+        } else {
+            match Self::read_entry(file, canonical) {
+                Ok(parsed) => parsed,
+                Err(_) => return CacheProbe::Miss,
+            }
+        };
+        match parsed {
             Parsed::Hit(r) => CacheProbe::Hit(r),
             Parsed::Collision => CacheProbe::Miss,
             Parsed::Damaged => {
@@ -162,6 +189,35 @@ impl ResultCache {
                 CacheProbe::Quarantined
             }
         }
+    }
+
+    /// Reads an entry from `src` and judges it against `canonical`.
+    ///
+    /// The first `read` goes into a buffer sized for the whole entry.
+    /// When those bytes end a line and judge as a Hit, the four lines
+    /// of the entry were all read whole, so the Hit is served without
+    /// reading on (the next read could only report EOF). Anything else
+    /// — a short read, a damaged entry, a collision — reads on to EOF
+    /// and is judged on every byte, so a short read never quarantines
+    /// a good entry.
+    fn read_entry(mut src: impl Read, canonical: &str) -> io::Result<Parsed> {
+        let mut bytes = vec![0; canonical.len() + ENTRY_SLACK];
+        let n = loop {
+            match src.read(&mut bytes) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        bytes.truncate(n);
+        if bytes.last() == Some(&b'\n') {
+            let _span = obs::span::enter("cache_decode");
+            if let hit @ Parsed::Hit(_) = Self::parse(&bytes, canonical) {
+                return Ok(hit);
+            }
+        }
+        src.read_to_end(&mut bytes)?;
+        let _span = obs::span::enter("cache_decode");
+        Ok(Self::parse(&bytes, canonical))
     }
 
     /// Moves a damaged entry aside so it never resurfaces.
@@ -256,6 +312,7 @@ impl ResultCache {
 }
 
 /// Outcome of validating raw entry bytes against a requesting spec.
+#[derive(Debug, PartialEq)]
 enum Parsed {
     Hit(JobResult),
     /// Healthy entry for a *different* spec (key collision) — not our
@@ -549,6 +606,62 @@ mod tests {
             CacheProbe::Hit(result(0.1))
         );
         assert_eq!(cache.quarantined_len(), 0);
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    /// Hands out one byte per `read`: the shortest reads a reader may
+    /// legally make.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn short_reads_judge_like_whole_reads() {
+        let cache = temp_cache("short-reads");
+        let s = spec(1);
+        cache.store(&s, &result(0.1)).expect("store");
+        let entry = fs::read(cache.entry_path(s.key())).expect("read entry");
+        let canonical = s.canonical();
+        let one_byte = |bytes: &[u8]| {
+            ResultCache::read_entry(OneByte(bytes), &canonical).expect("in-memory read")
+        };
+
+        assert_eq!(one_byte(&entry), Parsed::Hit(result(0.1)));
+        // A first read that stops at any byte, a line end included,
+        // reads on to the rest of the entry.
+        for split in 0..entry.len() {
+            let (head, tail) = entry.split_at(split);
+            let parsed = ResultCache::read_entry(head.chain(tail), &canonical).expect("read");
+            assert_eq!(
+                parsed,
+                Parsed::Hit(result(0.1)),
+                "first read of {split} bytes"
+            );
+        }
+        // Truncated anywhere before the final newline, or with any bit
+        // flipped, the entry judges as it does read whole: damaged.
+        for len in 0..entry.len() - 1 {
+            let truncated = &entry[..len];
+            assert_eq!(one_byte(truncated), Parsed::Damaged, "truncated to {len}");
+            assert_eq!(ResultCache::parse(truncated, &canonical), Parsed::Damaged);
+        }
+        for pos in 0..entry.len() {
+            let mut flipped = entry.clone();
+            flipped[pos] ^= 0x04;
+            assert_eq!(one_byte(&flipped), Parsed::Damaged, "bit flipped at {pos}");
+            assert_eq!(ResultCache::parse(&flipped, &canonical), Parsed::Damaged);
+        }
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -38,11 +38,13 @@
 //! [`crate::fault`]), and the chaos suite asserts the engine's output
 //! is bit-identical to a fault-free run.
 
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use obs::{PolicyMetrics, RunMetrics, WorkerMetrics};
+use policies::{PolicyDesc, PolicyId};
 
 use crate::cache::{CacheProbe, ResultCache};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
@@ -384,11 +386,21 @@ impl Engine {
             });
         }
 
-        let journal = match Journal::open(&state_dir, batch) {
-            Ok(j) => Some(Mutex::new(j)),
-            Err(e) => {
-                obs::warn!("engine: journal disabled for `{batch}`: {e}");
-                None
+        // A batch with nothing left to simulate records nothing, so it
+        // clears any stale journal instead of creating one only to
+        // delete it, which is what finishing an empty journal did.
+        let journal = if pending.is_empty() {
+            if let Err(e) = Journal::clear(&state_dir, batch) {
+                obs::warn!("engine: could not clear journal for `{batch}`: {e}");
+            }
+            None
+        } else {
+            match Journal::open(&state_dir, batch) {
+                Ok(j) => Some(Mutex::new(j)),
+                Err(e) => {
+                    obs::warn!("engine: journal disabled for `{batch}`: {e}");
+                    None
+                }
             }
         };
 
@@ -556,22 +568,33 @@ impl Engine {
         let mut sched_dropped = 0u64;
         let mut clock_switches = 0u64;
         let mut voltage_switches = 0u64;
-        let mut per_policy: std::collections::BTreeMap<String, PolicyMetrics> =
-            std::collections::BTreeMap::new();
+        // Cells are grouped by policy first, so each distinct policy
+        // formats its label once; groups whose labels coincide still
+        // share one entry below.
+        let mut groups: HashMap<PolicyId, (&PolicyDesc, [u64; 3])> = HashMap::new();
         for (spec, result) in specs.iter().zip(results) {
             let Ok(r) = result else { continue };
             sched_dropped += r.sched_dropped;
             clock_switches += r.clock_switches;
             voltage_switches += r.voltage_switches;
+            let (_, counts) = groups
+                .entry(spec.policy.id())
+                .or_insert((&spec.policy, [0; 3]));
+            counts[0] += 1;
+            counts[1] += r.clock_switches;
+            counts[2] += r.voltage_switches;
+        }
+        let mut per_policy: BTreeMap<String, PolicyMetrics> = BTreeMap::new();
+        for (policy, [cells, clocks, volts]) in groups.into_values() {
             let entry = per_policy
-                .entry(spec.policy.label())
-                .or_insert_with(|| PolicyMetrics {
-                    policy: spec.policy.label(),
+                .entry(policy.label())
+                .or_insert_with_key(|label| PolicyMetrics {
+                    policy: label.clone(),
                     ..Default::default()
                 });
-            entry.cells += 1;
-            entry.clock_switches += r.clock_switches;
-            entry.voltage_switches += r.voltage_switches;
+            entry.cells += cells;
+            entry.clock_switches += clocks;
+            entry.voltage_switches += volts;
         }
         RunMetrics {
             batch: batch.to_string(),
@@ -652,7 +675,7 @@ mod tests {
     use super::*;
     use crate::job::WorkloadSpec;
     use crate::worker::panic_message;
-    use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange};
+    use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange, VoltageRule};
     use std::time::Duration;
     use workloads::Benchmark;
 
@@ -767,6 +790,31 @@ mod tests {
         assert_eq!(resumed.results, reference.results);
         // Completion cleared the journal.
         assert!(Journal::replay(&state_dir, "t").is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_batch_served_whole_leaves_no_journal() {
+        let root = temp_root("served-whole");
+        let config = EngineConfig {
+            use_cache: true,
+            state_root: Some(root.clone()),
+            ..EngineConfig::hermetic()
+        };
+        let specs = grid();
+        let cold = Engine::new(config.clone()).run_batch("t", &specs);
+        let journal = Journal::path_for(&root.join("state"), "t");
+        assert!(!journal.exists(), "a completed batch deletes its journal");
+
+        // A stale journal, as a killed run leaves it, goes when a warm
+        // batch serves every cell; none is created when there is none.
+        std::fs::write(&journal, "torn").expect("stale journal");
+        for round in ["stale journal", "no journal"] {
+            let warm = Engine::new(config.clone()).run_batch("t", &specs);
+            assert_eq!(warm.stats.cache_hits, specs.len(), "{round}");
+            assert_eq!(warm.results, cold.results, "{round}");
+            assert!(!journal.exists(), "{round}");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -908,6 +956,76 @@ mod tests {
             .expect("metrics.json written");
         assert!(json.contains("\"cache_hits\": 4"), "{json}");
         assert!(json.contains("\"executed\": 0"), "{json}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn per_policy_metrics_are_pinned_and_skip_failed_cells() {
+        // One policy repeated across two workloads, a second policy
+        // whose label matches the first (a voltage rule is not part of
+        // the label), a third with one failed cell, and the constant
+        // baseline. The failed cell is the only one left out of the
+        // journal a resumed run replays, so it alone runs, under a
+        // panic plan with no retries.
+        let peg = PolicyDesc::best_from_paper();
+        let peg_low_v = peg.with_voltage_rule(VoltageRule::default());
+        let one_up = PolicyDesc::interval(
+            PredictorDesc::Past,
+            Hysteresis::BEST,
+            SpeedChange::One,
+            SpeedChange::Peg,
+        )
+        .with_voltage_rule(VoltageRule::default());
+        let cell = |b, p| JobSpec::new(WorkloadSpec::Benchmark(b), p, 2, 42);
+        let specs = [
+            cell(Benchmark::Mpeg, peg),
+            cell(Benchmark::Web, peg),
+            cell(Benchmark::Mpeg, one_up),
+            cell(Benchmark::Web, one_up),
+            cell(Benchmark::Mpeg, PolicyDesc::constant_top()),
+            cell(Benchmark::Web, peg_low_v),
+        ];
+        const FAILED: usize = 2;
+        let clean = Engine::new(EngineConfig::hermetic()).run_batch("t", &specs);
+        let root = temp_root("per-policy");
+        let mut j = Journal::open(&root.join("state"), "t").expect("open");
+        for (i, (spec, r)) in specs.iter().zip(&clean.results).enumerate() {
+            if i != FAILED {
+                j.record(spec.key(), r.as_ref().expect("clean run"))
+                    .expect("record");
+            }
+        }
+        drop(j);
+        let out = Engine::new(EngineConfig {
+            resume: true,
+            max_retries: 0,
+            state_root: Some(root.clone()),
+            faults: Some(FaultPlan {
+                panic: 1.0,
+                max_panics: u32::MAX,
+                ..FaultPlan::default()
+            }),
+            ..EngineConfig::hermetic()
+        })
+        .run_batch("t", &specs);
+        assert_eq!(out.stats.journal_hits, specs.len() - 1);
+        assert_eq!(out.failures().len(), 1);
+        assert_eq!(out.failures()[0].index, FAILED);
+
+        let pinned = |policy: &str, cells, clock_switches, voltage_switches| PolicyMetrics {
+            policy: policy.to_string(),
+            cells,
+            clock_switches,
+            voltage_switches,
+        };
+        assert_eq!(
+            out.metrics.per_policy,
+            [
+                pinned("PAST one-peg >98%/<93%", 1, 11, 2),
+                pinned("PAST peg-peg >98%/<93%", 3, 35, 2),
+                pinned("constant step 10 @ 1500 mV", 1, 0, 0),
+            ]
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

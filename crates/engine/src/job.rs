@@ -12,7 +12,7 @@ use std::fmt::Write;
 use itsy_hw::{
     battery::BatteryParams, Battery, ClockTable, DeviceSet, PowerModel, PowerParams, StepIndex,
 };
-use kernel_sim::{Kernel, KernelConfig, Machine, SimScratch, WindowSample};
+use kernel_sim::{Kernel, KernelConfig, KernelReport, Machine, SimScratch, WindowSample};
 use policies::PolicyDesc;
 use sim_core::{SimDuration, SimFidelity};
 use workloads::{
@@ -352,14 +352,21 @@ impl JobSpec {
         (result, trace)
     }
 
-    fn simulate(
+    /// Runs the simulation and returns the kernel's whole report
+    /// instead of its summary: the series (at Full fidelity), the logs
+    /// and the span counters. `reference` picks the tick-by-tick loop.
+    /// For diagnostics and tests; the engine never calls it.
+    pub fn kernel_report(&self, reference: bool) -> KernelReport {
+        self.run_kernel(false, reference, 0, &mut SimScratch::new())
+    }
+
+    fn run_kernel(
         &self,
         trace: bool,
         reference: bool,
         timeline_windows: u32,
         scratch: &mut SimScratch,
-    ) -> (JobResult, obs::Trace, Vec<WindowSample>) {
-        let _span = obs::span::enter("simulate");
+    ) -> KernelReport {
         let mut config = KernelConfig {
             duration: self.duration,
             trace,
@@ -381,7 +388,18 @@ impl JobSpec {
         let mut kernel = Kernel::new(machine, config);
         self.workload.spawn_into(&mut kernel, self.seed);
         kernel.install_policy(self.policy.build(ClockTable::sa1100()));
-        let mut report = kernel.run_scratch(scratch);
+        kernel.run_scratch(scratch)
+    }
+
+    fn simulate(
+        &self,
+        trace: bool,
+        reference: bool,
+        timeline_windows: u32,
+        scratch: &mut SimScratch,
+    ) -> (JobResult, obs::Trace, Vec<WindowSample>) {
+        let _span = obs::span::enter("simulate");
+        let mut report = self.run_kernel(trace, reference, timeline_windows, scratch);
 
         let frames_shown = report
             .deadlines

@@ -130,10 +130,22 @@ impl Journal {
     /// Marks the batch complete: closes and deletes the journal.
     pub fn finish(mut self) -> io::Result<()> {
         drop(self.writer.take());
-        match fs::remove_file(&self.path) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
+        remove(&self.path)
+    }
+
+    /// Deletes a batch's journal if there is one: what opening it and
+    /// [`finish`](Self::finish)ing it with nothing recorded would
+    /// leave, without creating a file only to delete it.
+    pub fn clear(state_dir: &Path, batch: &str) -> io::Result<()> {
+        remove(&Self::path_for(state_dir, batch))
+    }
+}
+
+/// Deletes a file; one that is already gone is not an error.
+fn remove(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
     }
 }
 

@@ -17,7 +17,7 @@
 //!   deadlines will be missed, but this results in minimal energy
 //!   savings".
 
-use core::fmt;
+use core::fmt::{self, Write as _};
 
 use engine::{BatchStats, Engine, EngineConfig, JobSpec, WorkloadSpec};
 use obs::RunMetrics;
@@ -25,6 +25,9 @@ use policies::{Hysteresis, PolicyDesc, PredictorDesc, SpeedChange};
 use workloads::Benchmark;
 
 use crate::report;
+
+/// Bytes reserved per CSV row; a typical row is about 50.
+const CSV_ROW_BYTES: usize = 64;
 
 /// One sweep cell.
 #[derive(Debug, Clone)]
@@ -233,40 +236,31 @@ impl Sweep {
 
     /// All cells as one CSV document — what [`save`](Self::save)
     /// writes. Public so tests can compare sweeps byte-for-byte
-    /// without touching the results directory.
+    /// without touching the results directory. Rows are formatted
+    /// straight into the document, with no per-cell strings.
     pub fn csv(&self) -> String {
-        report::csv_doc(
-            &[
-                "benchmark",
-                "n",
-                "up",
-                "down",
-                "up_thresh",
-                "down_thresh",
-                "energy_j",
-                "saving",
-                "misses",
-                "switches",
-            ],
-            &self
-                .cells
-                .iter()
-                .map(|c| {
-                    vec![
-                        c.benchmark.name().to_string(),
-                        c.n.to_string(),
-                        c.up.label().to_string(),
-                        c.down.label().to_string(),
-                        format!("{}", c.thresholds.up),
-                        format!("{}", c.thresholds.down),
-                        format!("{:.3}", c.energy_j),
-                        format!("{:.4}", self.saving(c)),
-                        c.misses.to_string(),
-                        c.switches.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
+        const HEADER: &str = "benchmark,n,up,down,up_thresh,down_thresh,\
+                              energy_j,saving,misses,switches\n";
+        let mut out = String::with_capacity(HEADER.len() + CSV_ROW_BYTES * self.cells.len());
+        out.push_str(HEADER);
+        for c in &self.cells {
+            writeln!(
+                out,
+                "{},{},{},{},{},{},{:.3},{:.4},{},{}",
+                c.benchmark.name(),
+                c.n,
+                c.up.label(),
+                c.down.label(),
+                c.thresholds.up,
+                c.thresholds.down,
+                c.energy_j,
+                self.saving(c),
+                c.misses,
+                c.switches,
+            )
+            .expect("writing to a String cannot fail");
+        }
+        out
     }
 
     /// Writes all cells as CSV.

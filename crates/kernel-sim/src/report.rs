@@ -107,6 +107,16 @@ pub struct KernelReport {
     ///
     /// [`KernelConfig::timeline_windows`]: crate::KernelConfig
     pub timeline: Vec<WindowSample>,
+    /// Uniform spans the batched loop committed; 0 on the reference
+    /// loop ([`KernelConfig::reference`]), which commits none.
+    ///
+    /// [`KernelConfig::reference`]: crate::KernelConfig
+    pub spans: u64,
+    /// Ticks those spans covered: `span_quanta / ticks` is the share
+    /// of the run's ticks the span loop accounted. A quantum that
+    /// emptied the battery ends the run without a tick and is not
+    /// counted.
+    pub span_quanta: u64,
 }
 
 impl KernelReport {

@@ -470,6 +470,10 @@ struct LoopState<S> {
     /// Windowed trajectory accumulator; `None` unless
     /// [`KernelConfig::timeline_windows`] is nonzero.
     timeline: Option<TimelineAcc>,
+    /// Uniform spans committed ([`KernelReport::spans`]).
+    spans: u64,
+    /// Ticks those spans covered ([`KernelReport::span_quanta`]).
+    span_quanta: u64,
     sink: S,
 }
 
@@ -693,6 +697,8 @@ impl Kernel {
                     self.config.duration.as_micros(),
                 )
             }),
+            spans: 0,
+            span_quanta: 0,
             sink,
         };
 
@@ -1129,6 +1135,8 @@ impl Kernel {
         // Closed-form commit of what every quantum added alike: n
         // identical integer adds of `quantum` are exactly `n * quantum`.
         let quanta = executed + u64::from(ls.stopped);
+        ls.spans += 1;
+        ls.span_quanta += executed;
         let start = SimTime::from_micros(start_us);
         ls.sink.span(start, quanta, p, core_p);
         if let Some(tl) = ls.timeline.as_mut() {
@@ -1201,6 +1209,8 @@ impl Kernel {
             util_sum_us: out.util_sum_us,
             freq_khz_sum: out.freq_khz_sum,
             timeline: ls.timeline.map(|t| t.samples()).unwrap_or_default(),
+            spans: ls.spans,
+            span_quanta: ls.span_quanta,
         }
     }
 }

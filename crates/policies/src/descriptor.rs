@@ -91,6 +91,22 @@ impl PredictorDesc {
         written.expect("writing to a String cannot fail");
     }
 
+    /// `(variant, parameter)` as integers, a float parameter by its
+    /// bits: the predictor's part of a [`PolicyId`].
+    fn id(self) -> (u64, u64) {
+        match self {
+            PredictorDesc::Past => (0, 0),
+            PredictorDesc::AvgN(n) => (1, n.into()),
+            PredictorDesc::SlidingWindow(n) => (2, n as u64),
+            PredictorDesc::Flat(level) => (3, level.to_bits()),
+            PredictorDesc::LongShort => (4, 0),
+            PredictorDesc::Aged(k) => (5, k.to_bits()),
+            PredictorDesc::Cycle => (6, 0),
+            PredictorDesc::Pattern => (7, 0),
+            PredictorDesc::Peak => (8, 0),
+        }
+    }
+
     /// Human-readable name matching the paper's / Govil's spelling.
     pub fn label(&self) -> String {
         match self {
@@ -106,6 +122,15 @@ impl PredictorDesc {
         }
     }
 }
+
+/// A [`PolicyDesc`]'s fields as integers, floats by their bits.
+///
+/// Equal ids mean bit-equal descriptors, which build the same policy
+/// and have the same [`label`](PolicyDesc::label). Unlike the
+/// descriptor it is `Eq + Hash`, so cells can be grouped by policy in
+/// a hash map without formatting anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PolicyId([u64; 5]);
 
 /// A buildable, hashable description of a complete clock policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -254,6 +279,32 @@ impl PolicyDesc {
         written.expect("writing to a String cannot fail");
     }
 
+    /// The descriptor's [`PolicyId`].
+    pub fn id(&self) -> PolicyId {
+        PolicyId(match *self {
+            PolicyDesc::Constant { step, voltage_mv } => [0, step as u64, voltage_mv.into(), 0, 0],
+            PolicyDesc::Interval {
+                predictor,
+                hysteresis,
+                up,
+                down,
+                voltage_rule,
+            } => {
+                let (kind, param) = predictor.id();
+                let rules = (up as u64) << 8 | (down as u64) << 16 | kind << 24;
+                let vrule = voltage_rule.map_or(0, |r| r.low_at_or_below as u64 + 1);
+                [
+                    1 | rules,
+                    param,
+                    hysteresis.up.to_bits(),
+                    hysteresis.down.to_bits(),
+                    vrule,
+                ]
+            }
+            PolicyDesc::SimpleAvg { window } => [2, window as u64, 0, 0, 0],
+        })
+    }
+
     /// Human-readable summary for progress lines and tables.
     pub fn label(&self) -> String {
         match self {
@@ -298,6 +349,63 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 11 * 3 * 3 * 2);
+    }
+
+    #[test]
+    fn ids_are_equal_exactly_when_canonical_encodings_are() {
+        let mut descs = vec![
+            PolicyDesc::constant_top(),
+            PolicyDesc::Constant {
+                step: 4,
+                voltage_mv: 1230,
+            },
+            PolicyDesc::SimpleAvg { window: 4 },
+            PolicyDesc::SimpleAvg { window: 5 },
+            PolicyDesc::best_from_paper().with_voltage_rule(VoltageRule::default()),
+            PolicyDesc::best_from_paper().with_voltage_rule(VoltageRule { low_at_or_below: 0 }),
+        ];
+        for p in [
+            PredictorDesc::SlidingWindow(4),
+            PredictorDesc::Flat(0.7),
+            PredictorDesc::Flat(0.7 + f64::EPSILON),
+            PredictorDesc::LongShort,
+            PredictorDesc::Aged(0.5),
+            PredictorDesc::Cycle,
+            PredictorDesc::Pattern,
+            PredictorDesc::Peak,
+        ] {
+            descs.push(PolicyDesc::interval(
+                p,
+                Hysteresis::BEST,
+                SpeedChange::Peg,
+                SpeedChange::Peg,
+            ));
+        }
+        for n in 0..=10u32 {
+            for up in [SpeedChange::One, SpeedChange::Double, SpeedChange::Peg] {
+                for down in [SpeedChange::One, SpeedChange::Double, SpeedChange::Peg] {
+                    for th in [Hysteresis::PERING, Hysteresis::BEST] {
+                        let p = if n == 0 {
+                            PredictorDesc::Past
+                        } else {
+                            PredictorDesc::AvgN(n)
+                        };
+                        descs.push(PolicyDesc::interval(p, th, up, down));
+                    }
+                }
+            }
+        }
+        for a in &descs {
+            for b in &descs {
+                assert_eq!(
+                    a.id() == b.id(),
+                    a.canonical() == b.canonical(),
+                    "{} vs {}",
+                    a.canonical(),
+                    b.canonical()
+                );
+            }
+        }
     }
 
     #[test]

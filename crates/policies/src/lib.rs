@@ -62,7 +62,7 @@ pub mod simple;
 pub mod speed;
 
 pub use cpufreq::{Conservative, Ondemand, Schedutil};
-pub use descriptor::{PolicyDesc, PredictorDesc};
+pub use descriptor::{PolicyDesc, PolicyId, PredictorDesc};
 pub use energy::VfCurve;
 pub use governor::{
     ClockPolicy, ConstantPolicy, Hysteresis, IntervalScheduler, PolicyRequest, VoltageRule,
